@@ -10,6 +10,29 @@
 
 namespace rtlb {
 
+namespace {
+
+/// The window recurrences' one overflow policy: a sum or difference of
+/// times that leaves the Time range throws ModelError instead of wrapping.
+/// The throw sits out of line so the checks stay a branch each in the loops.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_window_overflow() {
+  throw ModelError("compute_windows: EST/LCT arithmetic overflows Time");
+}
+
+inline Time checked_add(Time a, Time b) {
+  Time r;
+  if (__builtin_add_overflow(a, b, &r)) throw_window_overflow();
+  return r;
+}
+
+inline Time checked_sub(Time a, Time b) {
+  Time r;
+  if (__builtin_sub_overflow(a, b, &r)) throw_window_overflow();
+  return r;
+}
+
+}  // namespace
+
 Time latest_start_of_set(const Application& app, const std::vector<Time>& lct,
                          std::span<const TaskId> tasks) {
   RTLB_CHECK(!tasks.empty(), "lst of empty set");
@@ -20,10 +43,10 @@ Time latest_start_of_set(const Application& app, const std::vector<Time>& lct,
     if (lct[a] != lct[b]) return lct[a] > lct[b];
     return a < b;
   });
-  Time start = lct[order[0]] - app.task(order[0]).comp;
+  Time start = checked_sub(lct[order[0]], app.task(order[0]).comp);
   for (std::size_t k = 1; k < order.size(); ++k) {
     const Time completion = std::min(start, lct[order[k]]);
-    start = completion - app.task(order[k]).comp;
+    start = checked_sub(completion, app.task(order[k]).comp);
   }
   return start;
 }
@@ -38,10 +61,10 @@ Time earliest_completion_of_set(const Application& app, const std::vector<Time>&
     if (est[a] != est[b]) return est[a] < est[b];
     return a < b;
   });
-  Time completion = est[order[0]] + app.task(order[0]).comp;
+  Time completion = checked_add(est[order[0]], app.task(order[0]).comp);
   for (std::size_t k = 1; k < order.size(); ++k) {
     const Time start = std::max(completion, est[order[k]]);
-    completion = start + app.task(order[k]).comp;
+    completion = checked_add(start, app.task(order[k]).comp);
   }
   return completion;
 }
@@ -131,7 +154,7 @@ void lct_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
   Time l0 = m.deadline[i];
   for (std::size_t k = 0; k < succ.size(); ++k) {
     const TaskId j = succ[k];
-    const Time lms = lct[j] - m.comp[j] - m.succ_msg[m.succ_off[i] + k];
+    const Time lms = checked_sub(checked_sub(lct[j], m.comp[j]), m.succ_msg[m.succ_off[i] + k]);
     s.cursor->reset(i);
     if (s.cursor->try_add(j)) {
       s.cand.push_back({lms, j});
@@ -183,7 +206,7 @@ void lct_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
     for (std::size_t q = pos; q < s.packed.size(); ++q) {
       const TaskId x = s.packed[q];
       s.packval[q] =
-          (q == 0 ? lct[x] : std::min(s.packval[q - 1], lct[x])) - m.comp[x];
+          checked_sub(q == 0 ? lct[x] : std::min(s.packval[q - 1], lct[x]), m.comp[x]);
     }
     const Time lk = std::min({l0, s.packval.back(), s.suffix[k + 1]});
     if (lk < best) break;  // (d): strict drop is final
@@ -210,7 +233,7 @@ void est_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
   Time e0 = m.release[i];  // step 2
   for (std::size_t k = 0; k < pred.size(); ++k) {
     const TaskId j = pred[k];
-    const Time emr = est[j] + m.comp[j] + m.pred_msg[m.pred_off[i] + k];
+    const Time emr = checked_add(checked_add(est[j], m.comp[j]), m.pred_msg[m.pred_off[i] + k]);
     s.cursor->reset(i);
     if (s.cursor->try_add(j)) {
       s.cand.push_back({emr, j});
@@ -253,7 +276,7 @@ void est_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
     for (std::size_t q = pos; q < s.packed.size(); ++q) {
       const TaskId x = s.packed[q];
       s.packval[q] =
-          (q == 0 ? est[x] : std::max(s.packval[q - 1], est[x])) + m.comp[x];
+          checked_add(q == 0 ? est[x] : std::max(s.packval[q - 1], est[x]), m.comp[x]);
     }
     const Time ek = std::max({e0, s.packval.back(), s.suffix[k + 1]});
     if (ek > best) break;  // (d): strict rise is final

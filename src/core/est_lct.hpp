@@ -65,13 +65,15 @@ struct TaskWindows {
 
 /// lst(A) (Sec 4.1): latest time a single processor/node could *start* the
 /// sequential execution of `tasks`, each completing by its LCT. `tasks` may
-/// be in any order; must be non-empty.
+/// be in any order; must be non-empty. Throws ModelError when a start time
+/// leaves the Time range.
 Time latest_start_of_set(const Application& app, const std::vector<Time>& lct,
                          std::span<const TaskId> tasks);
 
 /// ect(A) (Sec 4.2): earliest time a single processor/node could *complete*
 /// the sequential execution of `tasks`, each starting no earlier than its
-/// EST. `tasks` may be in any order; must be non-empty.
+/// EST. `tasks` may be in any order; must be non-empty. Throws ModelError
+/// when a completion time leaves the Time range.
 Time earliest_completion_of_set(const Application& app, const std::vector<Time>& est,
                                 std::span<const TaskId> tasks);
 
@@ -79,7 +81,8 @@ Time earliest_completion_of_set(const Application& app, const std::vector<Time>&
 /// topological order, EST in topological order). `num_threads` follows the
 /// bound-engine convention: 1 = serial (default), 0 = one worker per
 /// hardware thread, n > 1 = exactly n workers; the windows are bit-identical
-/// at every value.
+/// at every value. Throws ModelError when a recurrence leaves the Time
+/// range (the windows never wrap).
 TaskWindows compute_windows(const Application& app, const MergeOracle& oracle,
                             int num_threads = 1);
 

@@ -60,71 +60,23 @@ struct BlockScan {
   Time total_demand = 0;
   UnitResult probe;
   /// The scan loop's working set, flattened: Psi reads (comp, E, L,
-  /// preemptive) per task and nothing else, so the inner loop walks four
+  /// preemptive) per task and nothing else, so the scan walks four
   /// contiguous arrays instead of pointer-chasing Task structs and separate
-  /// window vectors per pair. Original block.tasks order (the overflow
-  /// slow path iterates it to keep historical behaviour exactly).
+  /// window vectors. Original block.tasks order (the overflow path iterates
+  /// it to keep the historical first-overflow behaviour exactly).
   std::vector<Time> comp, est, lct;
   std::vector<char> preemptive;
-  /// The same four attributes re-sorted by EST ascending: a task overlaps
-  /// [t1, t2] only if E_i < t2 AND L_i > t1, and L_i <= E_i + max_window
-  /// bounds the second condition by E_i > t1 - max_window, so each Theta
-  /// evaluation walks one contiguous EST range (two binary searches)
-  /// instead of branching through the whole block. The tighter the windows,
-  /// the smaller the range -- exactly the instances whose scans are big.
-  std::vector<Time> comp_by_est, est_by_est, lct_by_est;
-  std::vector<char> preemptive_by_est;
-  Time max_window = 0;  ///< max over tasks of L_i - E_i
+  /// Whether rows may be swept as clipped ramps (see RowSweep): the total
+  /// did not saturate, and every task has C_i >= 0 and L_i - E_i >= C_i.
+  /// Otherwise every pair is summed directly by demand_flat.
+  bool ramps = true;
 };
 
 /// Theta over a block from its flat arrays; value-identical to
 /// demand(app, windows, block.tasks, ...) -- the same multiset of Psi terms
-/// (zero terms dropped, which cannot change an exact sum) and the same
-/// overflow rejection.
-///
-/// Fast path: Psi_i <= C_i, so every partial sum is bounded by Sum C_i =
-/// total_demand. When that total itself did not saturate, no Theta sum can
-/// overflow, the per-add check is provably dead, and the sum is
-/// order-independent -- which is what licenses the EST-sorted iteration
-/// order and the E_i >= t2 prefix cut. A saturated total falls back to the
-/// original order WITH the per-add check, preserving the historical
-/// first-overflow behaviour.
-/// Index range [begin, end) into the *_by_est arrays of the tasks that can
-/// overlap [t1, t2]: E_i < t2 directly, and L_i > t1 requires
-/// E_i > t1 - max_window (windows are at most max_window wide); t1 is a
-/// window endpoint, so no underflow.
-struct EstRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-EstRange est_range(const BlockScan& block, Time t1, Time t2) {
-  const auto first = block.est_by_est.begin();
-  const auto hi = std::lower_bound(first, block.est_by_est.end(), t2);
-  const auto lo = std::upper_bound(first, hi, t1 - block.max_window);
-  return {static_cast<std::size_t>(lo - first), static_cast<std::size_t>(hi - first)};
-}
-
-Time demand_est_range(const BlockScan& block, EstRange r, Time t1, Time t2) {
-  Time sum = 0;
-  for (std::size_t i = r.begin; i < r.end; ++i) {
-    // Each overlap term is <= C_i, so the sum is <= the block's total
-    // demand, which the cache construction already proved within Time via
-    // __builtin_add_overflow (BlockScan::total_demand).
-    // audit-ok: RTLB-A302 sum bounded by total_demand, proved at cache build
-    sum += block.preemptive_by_est[i]
-               ? overlap_preemptive(block.comp_by_est[i], block.est_by_est[i],
-                                    block.lct_by_est[i], t1, t2)
-               : overlap_nonpreemptive(block.comp_by_est[i], block.est_by_est[i],
-                                       block.lct_by_est[i], t1, t2);
-  }
-  return sum;
-}
-
+/// in the same order, with the same overflow rejection (with C_i >= 0 the
+/// check is dead unless total_demand saturated, since every Psi_i <= C_i).
 Time demand_flat(const BlockScan& block, Time t1, Time t2) {
-  if (block.total_demand != std::numeric_limits<Time>::max()) {
-    return demand_est_range(block, est_range(block, t1, t2), t1, t2);
-  }
   Time sum = 0;
   for (std::size_t i = 0; i < block.comp.size(); ++i) {
     const Time psi = block.preemptive[i]
@@ -136,6 +88,75 @@ Time demand_flat(const BlockScan& block, Time t1, Time t2) {
   }
   return sum;
 }
+
+/// Theta(t1, t2) for one fixed t1 and ascending t2, in O(n log n) for the
+/// whole row instead of O(n) per pair. For t2 > t1 every Psi_i (Theorems
+/// 3-4) of a task with L_i - E_i >= C_i is a clipped ramp in t2: with
+/// d = max(0, t1 - E_i) and cap_i = C_i - d,
+///
+///   Psi_i(t2) = min(cap_i, max(0, t2 - s_i)),
+///   s_i = L_i - C_i + d            (preemptive; then s_i + cap_i = L_i)
+///   s_i = max(L_i - C_i, t1)       (non-preemptive),
+///
+/// and Psi_i == 0 for all t2 when L_i <= t1 or cap_i <= 0. So Theta(t1, .)
+/// is piecewise linear with slope +1 from each s_i and -1 from each
+/// s_i + cap_i; every such point lies in [t1, L_i], and Theta(t1, t1) = 0.
+/// docs/ALGORITHMS.md (Step 3) has the derivation.
+class RowSweep {
+ public:
+  explicit RowSweep(std::size_t tasks) {
+    up_.reserve(tasks);
+    down_.reserve(tasks);
+  }
+
+  /// Collect and sort the ramp endpoints of row t1. Requires block.ramps.
+  void start(const BlockScan& block, Time t1) {
+    up_.clear();
+    down_.clear();
+    for (std::size_t i = 0; i < block.comp.size(); ++i) {
+      const Time c = block.comp[i];
+      const Time e = block.est[i];
+      const Time l = block.lct[i];
+      // cap_i <= 0: nothing of the task has to fall after t1. C_i >= 0 and
+      // E_i + C_i <= L_i, so neither sum nor difference below can overflow.
+      if (l <= t1 || t1 >= e + c) continue;
+      const Time d = t1 > e ? t1 - e : 0;
+      const Time s = block.preemptive[i] ? l - c + d : std::max(l - c, t1);
+      up_.push_back(s);
+      down_.push_back(s + (c - d));
+    }
+    std::sort(up_.begin(), up_.end());
+    std::sort(down_.begin(), down_.end());
+    prev_ = t1;
+    theta_ = 0;
+    slope_ = 0;
+    next_up_ = 0;
+    next_down_ = 0;
+  }
+
+  /// Theta(t1, t2) for the next t2 of the row; t2 never decreases.
+  /// Exact: theta_ is Theta at prev_, a sum of Psi terms <= total_demand,
+  /// and the 128-bit steps cannot overflow on the way there.
+  Time advance(Time t2) {
+    theta_ += static_cast<__int128>(slope_) * (t2 - prev_);
+    for (; next_up_ < up_.size() && up_[next_up_] < t2; ++next_up_, ++slope_) {
+      theta_ += t2 - up_[next_up_];
+    }
+    for (; next_down_ < down_.size() && down_[next_down_] < t2; ++next_down_, --slope_) {
+      theta_ -= t2 - down_[next_down_];
+    }
+    prev_ = t2;
+    return static_cast<Time>(theta_);
+  }
+
+ private:
+  std::vector<Time> up_, down_;  ///< ramp starts s_i and ends s_i + cap_i
+  Time prev_ = 0;
+  __int128 theta_ = 0;
+  std::int64_t slope_ = 0;
+  std::size_t next_up_ = 0;
+  std::size_t next_down_ = 0;
+};
 
 /// A chunk of consecutive left endpoints [l_begin, l_end) of one block.
 struct ScanUnit {
@@ -200,32 +221,22 @@ void add_block(ScanPlan& plan, const Application& app, const TaskWindows& window
     block.est.push_back(windows.est[i]);
     block.lct.push_back(windows.lct[i]);
     block.preemptive.push_back(t.preemptive ? 1 : 0);
-    block.max_window = std::max(block.max_window, windows.lct[i] - windows.est[i]);
+    // L_i - E_i >= C_i, compared without overflow: RowSweep's ramp form
+    // needs it. Under negative slack (lint RTLB-E101) Psi_i jumps at E_i,
+    // so such a block is summed pair by pair instead.
+    if (t.comp < 0 || static_cast<__int128>(windows.lct[i]) - windows.est[i] < t.comp) {
+      block.ramps = false;
+    }
     // Saturating sum: an overflowed total would only weaken pruning, never
     // the bound, but keep it a valid upper bound on Theta anyway.
     if (__builtin_add_overflow(block.total_demand, t.comp, &block.total_demand)) {
       block.total_demand = std::numeric_limits<Time>::max();
     }
   }
+  if (block.total_demand == std::numeric_limits<Time>::max()) block.ramps = false;
   std::sort(block.points.begin(), block.points.end());
   block.points.erase(std::unique(block.points.begin(), block.points.end()),
                      block.points.end());
-  std::vector<std::size_t> by_est(block.comp.size());
-  for (std::size_t k = 0; k < by_est.size(); ++k) by_est[k] = k;
-  std::sort(by_est.begin(), by_est.end(), [&](std::size_t a, std::size_t b) {
-    if (block.est[a] != block.est[b]) return block.est[a] < block.est[b];
-    return a < b;  // deterministic order; the Theta sum is order-independent
-  });
-  block.comp_by_est.reserve(by_est.size());
-  block.est_by_est.reserve(by_est.size());
-  block.lct_by_est.reserve(by_est.size());
-  block.preemptive_by_est.reserve(by_est.size());
-  for (std::size_t k : by_est) {
-    block.comp_by_est.push_back(block.comp[k]);
-    block.est_by_est.push_back(block.est[k]);
-    block.lct_by_est.push_back(block.lct[k]);
-    block.preemptive_by_est.push_back(block.preemptive[k]);
-  }
   block.tasks = std::move(tasks);
   plan.blocks.push_back(std::move(block));
 }
@@ -327,9 +338,11 @@ UnitResult scan_unit(const Application& app, const TaskWindows& windows,
   (void)app;
   (void)windows;
   UnitResult res;
+  RowSweep row(block.ramps ? block.comp.size() : 0);
   for (std::size_t l = unit.l_begin; l < unit.l_end; ++l) {
+    const Time t1 = block.points[l];
+    bool row_started = false;
     for (std::size_t k = l + 1; k < block.points.size(); ++k) {
-      const Time t1 = block.points[l];
       const Time t2 = block.points[k];
       // Theta <= total_demand, and the width only grows with k, so once the
       // best-possible density cannot strictly beat the prune floor neither
@@ -342,7 +355,18 @@ UnitResult scan_unit(const Application& app, const TaskWindows& windows,
             block.probe.peak > res.peak ? block.probe.peak : res.peak;
         if (!(Ratio{block.total_demand, t2 - t1} > floor)) break;
       }
-      const Time theta = demand_flat(block, t1, t2);
+      Time theta = 0;
+      if (block.ramps) {
+        // Built on the row's first surviving pair: a fully pruned row costs
+        // one comparison, as before.
+        if (!row_started) {
+          row.start(block, t1);
+          row_started = true;
+        }
+        theta = row.advance(t2);
+      } else {
+        theta = demand_flat(block, t1, t2);
+      }
       ++res.evaluated;
       if (Ratio{theta, t2 - t1} > res.peak) {
         res.peak = Ratio{theta, t2 - t1};

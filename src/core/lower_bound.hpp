@@ -15,6 +15,14 @@
 // intervals_evaluated) is bit-identical no matter how many threads executed
 // the units. num_threads therefore changes wall-clock only, never output.
 //
+// A unit walks its rows (one left endpoint t1 each) as a sweep: every
+// Psi_i(t1, .) is a clipped ramp in t2, so one sort of the row's 2n slope
+// events yields Theta at every right endpoint in order -- O(n log n) per
+// row, O(points * n log n) per block, instead of O(n) per (t1, t2) pair.
+// Blocks with a negative-slack window or a saturated sum of C_i keep the
+// per-pair direct sum (docs/ALGORITHMS.md, Step 3). Either way each Theta
+// is the same exact integer, so the choice never changes a result.
+//
 // Pruning (opt-in) skips candidate intervals that provably cannot beat the
 // prune floor: Theta(r,t1,t2) <= sum of C_i over the block, so when
 // block_demand/(t2-t1) <= floor the pair (and, since the width only grows
@@ -120,8 +128,10 @@ struct BlockScanResult {
 /// geometry -- task identity is deliberately NOT part of it, so identical
 /// blocks are shared across resources (e.g. a {P1}+{r1} task pair produces
 /// the same block under both resources) and even across re-generated
-/// applications. A lookup costs O(block size); a scan costs O(points^2 *
-/// block size); every hit therefore skips the dominant cost of the query.
+/// applications. A lookup costs O(block size); a scan costs
+/// O(points * block size * log(block size)) with the row sweep, or
+/// O(points^2 * block size) for a block that keeps the direct sum; every
+/// hit therefore skips the dominant cost of the query.
 class BlockScanCache {
  public:
   std::uint64_t hits() const { return hits_; }

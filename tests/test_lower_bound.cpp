@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/core/analysis.hpp"
 #include "src/core/lower_bound.hpp"
 #include "src/core/overlap.hpp"
@@ -199,6 +202,234 @@ TEST(LowerBoundAnalysis, BoundNeverBelowWorkDensity) {
     }
     EXPECT_GE(b.bound, ceil_div(work, hi - lo));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential check of the engine's row sweep against a direct-sum scan.
+
+/// One scan's running maximum with the engine's strict-greater witness rule.
+struct RefBest {
+  Ratio peak{0, 1};
+  Time t1 = 0, t2 = 0, theta = 0;
+  std::uint64_t evaluated = 0;
+
+  void consider(Time a, Time b, Time theta_ab) {
+    ++evaluated;
+    if (Ratio{theta_ab, b - a} > peak) {
+      peak = Ratio{theta_ab, b - a};
+      t1 = a;
+      t2 = b;
+      theta = theta_ab;
+    }
+  }
+};
+
+/// Test-local reference for the Theorem-5 scan: every (t1, t2) pair of each
+/// block's candidate points, Theta through the public demand(). With
+/// pruning it replays the probe (each task's own window) and the prune
+/// break; it assumes one scan unit per block, which holds for blocks of at
+/// most 11 tasks (22 points, fewer pairs than a pruned unit's grain).
+ResourceBound reference_scan(const Application& app, const TaskWindows& w,
+                             const std::vector<PartitionBlock>& blocks, bool prune) {
+  ResourceBound out;
+  const auto absorb = [&](const RefBest& b) {
+    out.intervals_evaluated += b.evaluated;
+    if (b.peak > out.peak_density) {
+      out.peak_density = b.peak;
+      out.witness_t1 = b.t1;
+      out.witness_t2 = b.t2;
+      out.witness_demand = b.theta;
+    }
+  };
+  std::vector<RefBest> probes(blocks.size());
+  if (prune) {
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      for (TaskId i : blocks[b].tasks) {
+        if (w.est[i] >= w.lct[i]) continue;
+        probes[b].consider(w.est[i], w.lct[i],
+                           demand(app, w, blocks[b].tasks, w.est[i], w.lct[i]));
+      }
+      absorb(probes[b]);
+    }
+  }
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const std::vector<TaskId>& tasks = blocks[b].tasks;
+    std::vector<Time> points;
+    Time total = 0;
+    for (TaskId i : tasks) {
+      points.push_back(w.est[i]);
+      points.push_back(w.lct[i]);
+      total += app.task(i).comp;
+    }
+    std::sort(points.begin(), points.end());
+    points.erase(std::unique(points.begin(), points.end()), points.end());
+    RefBest unit;
+    for (std::size_t l = 0; l < points.size(); ++l) {
+      for (std::size_t k = l + 1; k < points.size(); ++k) {
+        const Ratio floor = probes[b].peak > unit.peak ? probes[b].peak : unit.peak;
+        if (prune && !(Ratio{total, points[k] - points[l]} > floor)) break;
+        unit.consider(points[l], points[k], demand(app, w, tasks, points[l], points[k]));
+      }
+    }
+    absorb(unit);
+  }
+  out.bound = out.peak_density.ceil();
+  return out;
+}
+
+void expect_same_scan(const ResourceBound& got, const ResourceBound& want,
+                      const std::string& context) {
+  EXPECT_EQ(got.bound, want.bound) << context;
+  EXPECT_EQ(got.peak_density.num, want.peak_density.num) << context;
+  EXPECT_EQ(got.peak_density.den, want.peak_density.den) << context;
+  EXPECT_EQ(got.witness_t1, want.witness_t1) << context;
+  EXPECT_EQ(got.witness_t2, want.witness_t2) << context;
+  EXPECT_EQ(got.witness_demand, want.witness_demand) << context;
+  EXPECT_EQ(got.intervals_evaluated, want.intervals_evaluated) << context;
+}
+
+/// Every engine entry point against reference_scan, pruning off and on, at
+/// 1 and 4 threads. `exact_pruned` is false when some block is too wide for
+/// the reference's one-unit replay of pruning; pruned results then only
+/// have to match the bound and peak density and carry a valid witness.
+void expect_engine_matches_reference(const Application& app, const TaskWindows& w,
+                                     bool exact_pruned, const std::string& context) {
+  for (bool prune : {false, true}) {
+    for (int threads : {1, 4}) {
+      LowerBoundOptions opts;
+      opts.enable_pruning = prune;
+      opts.num_threads = threads;
+      const std::string ctx = context + " prune=" + std::to_string(prune) +
+                              " threads=" + std::to_string(threads);
+      const std::vector<ResourceId> resources = app.resource_set();
+      const std::vector<ResourceBound> all = all_resource_bounds(app, w, opts);
+      BlockScanCache cache;
+      const std::vector<ResourceBound> cold = all_resource_bounds_cached(app, w, opts, cache);
+      const std::vector<ResourceBound> warm = all_resource_bounds_cached(app, w, opts, cache);
+      ASSERT_EQ(all.size(), resources.size()) << ctx;
+      ASSERT_EQ(cold.size(), resources.size()) << ctx;
+      ASSERT_EQ(warm.size(), resources.size()) << ctx;
+      for (std::size_t k = 0; k < resources.size(); ++k) {
+        const ResourceId r = resources[k];
+        const std::string rctx = ctx + " r=" + std::to_string(r);
+        const ResourceBound want =
+            reference_scan(app, w, partition_tasks(app, w, r).blocks, prune);
+        const ResourceBound engine[] = {resource_lower_bound(app, w, r, opts), all[k], cold[k],
+                                        warm[k],
+                                        density_bound_over(app, w, app.tasks_using(r), opts)};
+        for (const ResourceBound& got : engine) {
+          if (!prune || exact_pruned) {
+            expect_same_scan(got, want, rctx);
+            continue;
+          }
+          EXPECT_EQ(got.bound, want.bound) << rctx;
+          EXPECT_TRUE(got.peak_density == want.peak_density) << rctx;
+          EXPECT_EQ(demand(app, w, app.tasks_using(r), got.witness_t1, got.witness_t2),
+                    got.witness_demand)
+              << rctx;
+          EXPECT_TRUE((Ratio{got.witness_demand, got.witness_t2 - got.witness_t1}) ==
+                      got.peak_density)
+              << rctx;
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanSweepDifferential, GeneratedWorkloadsMatchDirectSum) {
+  // Mixed preemptive/non-preemptive tasks; zero release spread makes many
+  // E_i coincide, integer comps make E_i/L_i collide across tasks. Ten-task
+  // instances keep every block within the reference's pruning replay.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (std::size_t num_tasks : {std::size_t{10}, std::size_t{48}}) {
+      WorkloadParams params;
+      params.seed = seed;
+      params.num_tasks = num_tasks;
+      params.laxity = 1.2 + 0.4 * static_cast<double>(seed % 4);
+      params.release_spread = (seed % 2 == 0) ? 0.5 : 0.0;
+      params.preemptive_prob = (seed % 3 == 0) ? 1.0 : 0.5;
+      params.resource_prob = 0.6;
+      ProblemInstance inst = generate_workload(params);
+      SharedMergeOracle oracle;
+      const TaskWindows w = compute_windows(*inst.app, oracle);
+      expect_engine_matches_reference(*inst.app, w, num_tasks <= 11,
+                                      "seed " + std::to_string(seed) + " n " +
+                                          std::to_string(num_tasks));
+    }
+  }
+}
+
+TEST(ScanSweepDifferential, RandomSmallBlocksMatchDirectSum) {
+  // Independent tasks with random windows on small integer times: the peak
+  // lands on every kind of pair (t1 inside a window, t2 past an L_i, ...),
+  // so a wrong ramp for either Psi kind shows in some bound or witness.
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  const auto next = [&](Time range) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<Time>((state >> 33) % static_cast<std::uint64_t>(range));
+  };
+  for (int round = 0; round < 300; ++round) {
+    ResourceCatalog cat;
+    const ResourceId p = cat.add_processor_type("P", 1);
+    Application app(cat);
+    const Time tasks = 1 + next(6);
+    for (Time k = 0; k < tasks; ++k) {
+      Task t;
+      t.name = "r" + std::to_string(k);
+      t.comp = 1 + next(8);
+      t.release = next(12);
+      t.deadline = t.release + t.comp + next(7);
+      t.proc = p;
+      t.preemptive = next(2) == 1;
+      app.add_task(std::move(t));
+    }
+    SharedMergeOracle oracle;
+    const TaskWindows w = compute_windows(app, oracle);
+    expect_engine_matches_reference(app, w, /*exact_pruned=*/true,
+                                    "round " + std::to_string(round));
+  }
+}
+
+TEST_F(LowerBoundTest, SweepMatchesDirectSumOnCoincidentEndpoints) {
+  // Shared E and L values, an L of one task equal to the E of the next, a
+  // zero-slack window, and both Psi kinds over the same points.
+  add(4, 0, 4);
+  add(4, 0, 4, /*preemptive=*/true);
+  add(2, 4, 8);
+  add(3, 4, 10, /*preemptive=*/true);
+  add(5, 0, 10, /*preemptive=*/true);
+  add(5, 0, 10);
+  add(1, 8, 10);
+  add(6, 4, 10);
+  // A non-preemptive task whose window another task's E_i cuts on the
+  // left: over [2, 4] it must overlap by 2, where a preemptive one need not.
+  add(8, 0, 10);
+  add(2, 2, 4);
+  SharedMergeOracle oracle;
+  const TaskWindows w = compute_windows(app_, oracle);
+  expect_engine_matches_reference(app_, w, /*exact_pruned=*/true, "coincident");
+}
+
+TEST_F(LowerBoundTest, SweepMatchesDirectSumOnNegativeSlackWindows) {
+  // Hand-built windows narrower than C_i (lint RTLB-E101; reachable through
+  // the raw engine entry points): a too-tight window, an inverted one and a
+  // point window share a block with ordinary tasks, and a second block is
+  // ordinary throughout.
+  add(5, 0, 3);
+  add(3, 1, 9, /*preemptive=*/true);
+  add(4, 6, 4);
+  add(2, 2, 2, /*preemptive=*/true);
+  add(2, 2, 5);
+  add(3, 20, 26, /*preemptive=*/true);
+  add(4, 21, 27);
+  TaskWindows w;
+  for (TaskId i = 0; i < app_.num_tasks(); ++i) {
+    w.est.push_back(app_.task(i).release);
+    w.lct.push_back(app_.task(i).deadline);
+  }
+  w.merged_pred.resize(app_.num_tasks());
+  w.merged_succ.resize(app_.num_tasks());
+  expect_engine_matches_reference(app_, w, /*exact_pruned=*/true, "negative slack");
 }
 
 }  // namespace

@@ -83,6 +83,21 @@ for f in examples/instances/*.rtlb; do
   "$BUILD_DIR/tools/rtlb_check" "$f" "$cert"
 done
 
+# Certificate gate over the bad corpus: --emit must end with a documented
+# exit status (0 valid, 1 invalid, 2 malformed or refused input), never by a
+# signal, and any certificate it does emit must pass the independent checker
+# against the same file.
+for f in examples/instances/bad/*.rtlb; do
+  cert="$BUILD_DIR/bad-$(basename "$f" .rtlb).cert.json"
+  rc=0
+  "$BUILD_DIR/tools/rtlb_check" --emit "$f" > "$cert" 2> /dev/null || rc=$?
+  case "$rc" in
+    0) "$BUILD_DIR/tools/rtlb_check" --quiet "$f" "$cert" ;;
+    1 | 2) ;;
+    *) echo "ci.sh: rtlb_check --emit $f ended with status $rc" >&2; exit 1 ;;
+  esac
+done
+
 # Trace smoke: an instrumented run on every shipped instance must emit a
 # Chrome trace-event file that parses and names all five pipeline stages
 # exhaustively (tools/trace_validate re-checks against the Stage enum).

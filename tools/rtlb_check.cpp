@@ -25,8 +25,9 @@
 // Exit status: 0 = certificate valid (every side-condition holds);
 // 1 = certificate well-formed but INVALID, each violated side-condition
 // pinpointed as stage/rule subject; 2 = malformed input (unreadable or
-// structurally broken instance, unparseable JSON, ill-formed certificate)
-// or bad usage.
+// structurally broken instance, an instance the analysis refuses with a
+// ModelError such as Time overflow, unparseable JSON, ill-formed
+// certificate) or bad usage.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -113,7 +114,15 @@ int run_emit(const std::string& path, SystemModel model, bool model_given, bool 
     return 2;
   }
 
-  const AnalysisResult result = analyze(*inst.app, options, platform);
+  // A well-formed instance can still be one the analysis refuses (a Theta
+  // or window sum that leaves the Time range): malformed input, exit 2.
+  AnalysisResult result;
+  try {
+    result = analyze(*inst.app, options, platform);
+  } catch (const ModelError& e) {
+    std::fprintf(stderr, "%s: cannot analyze: %s\n", path.c_str(), e.what());
+    return 2;
+  }
   std::printf("%s\n", certificate_json(*result.certificate).dump(2).c_str());
   if (!trace_path.empty()) {
     std::ofstream out(trace_path);
