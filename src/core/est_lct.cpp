@@ -75,12 +75,11 @@ namespace {
 /// task attributes as contiguous arrays (a Task is a wide struct -- name,
 /// resource vector -- so walking Task objects in the merge loop thrashes
 /// cache lines for three ints) and the per-edge message sizes as CSR arrays
-/// aligned with the DAG adjacency lists (Application::message is a std::map
-/// lookup; the old code paid it once per SORT COMPARISON).
+/// aligned with the DAG adjacency lists (adjacent_messages()), so the merge
+/// loop never pays a message() lookup.
 struct FlatModel {
   std::vector<Time> comp, release, deadline;
-  std::vector<std::size_t> succ_off, pred_off;  ///< n+1 CSR offsets
-  std::vector<Time> succ_msg, pred_msg;         ///< aligned with adjacency order
+  AdjacentMessages msg;
 };
 
 FlatModel flatten(const Application& app) {
@@ -89,30 +88,13 @@ FlatModel flatten(const Application& app) {
   m.comp.resize(n);
   m.release.resize(n);
   m.deadline.resize(n);
-  m.succ_off.resize(n + 1, 0);
-  m.pred_off.resize(n + 1, 0);
   for (TaskId i = 0; i < n; ++i) {
     const Task& t = app.task(i);
     m.comp[i] = t.comp;
     m.release[i] = t.release;
     m.deadline[i] = t.deadline;
-    m.succ_off[i + 1] = m.succ_off[i] + app.successors(i).size();
-    m.pred_off[i + 1] = m.pred_off[i] + app.predecessors(i).size();
   }
-  m.succ_msg.resize(m.succ_off[n]);
-  m.pred_msg.resize(m.pred_off[n]);
-  // One ordered pass over the edge map (vs one map lookup per adjacency
-  // entry); the adjacency lists are short, so locating each edge's slot by
-  // linear scan is a handful of contiguous int compares.
-  for (const auto& [key, msg] : app.messages()) {
-    const auto [from, to] = key;
-    const auto& succ = app.successors(from);
-    const auto& pred = app.predecessors(to);
-    const auto si = std::find(succ.begin(), succ.end(), to) - succ.begin();
-    const auto pi = std::find(pred.begin(), pred.end(), from) - pred.begin();
-    m.succ_msg[m.succ_off[from] + static_cast<std::size_t>(si)] = msg;
-    m.pred_msg[m.pred_off[to] + static_cast<std::size_t>(pi)] = msg;
-  }
+  m.msg = adjacent_messages(app);
   return m;
 }
 
@@ -152,9 +134,10 @@ void lct_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
   // exactly once) and the rest, whose lms terms bind L unconditionally.
   s.cand.clear();
   Time l0 = m.deadline[i];
+  const std::span<const Time> msg = m.msg.out(i);
   for (std::size_t k = 0; k < succ.size(); ++k) {
     const TaskId j = succ[k];
-    const Time lms = checked_sub(checked_sub(lct[j], m.comp[j]), m.succ_msg[m.succ_off[i] + k]);
+    const Time lms = checked_sub(checked_sub(lct[j], m.comp[j]), msg[k]);
     s.cursor->reset(i);
     if (s.cursor->try_add(j)) {
       s.cand.push_back({lms, j});
@@ -231,9 +214,10 @@ void est_one_task(const Application& app, const FlatModel& m, TaskId i, SweepScr
 
   s.cand.clear();
   Time e0 = m.release[i];  // step 2
+  const std::span<const Time> msg = m.msg.in(i);
   for (std::size_t k = 0; k < pred.size(); ++k) {
     const TaskId j = pred[k];
-    const Time emr = checked_add(checked_add(est[j], m.comp[j]), m.pred_msg[m.pred_off[i] + k]);
+    const Time emr = checked_add(checked_add(est[j], m.comp[j]), msg[k]);
     s.cursor->reset(i);
     if (s.cursor->try_add(j)) {
       s.cand.push_back({emr, j});

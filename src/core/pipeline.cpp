@@ -50,16 +50,26 @@ bool lint_gate_refuses(const LintResult& result, LintLevel level) {
   return false;
 }
 
+namespace {
+
+/// One cold lint run, keeping the windows the linter derived.
+LintGateArtifact lint_artifact(const Application& app, const DedicatedPlatform* platform,
+                               const SourceMap* lines) {
+  LintGateArtifact gate;
+  gate.lint = default_linter().run(app, platform, lines, {}, &gate.derived);
+  return gate;
+}
+
+}  // namespace
+
 LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* platform,
                                LintLevel level, const SourceMap* lines) {
-  LintGateArtifact gate;
   if (level == LintLevel::kOff) {
     app.validate();
-    return gate;
+    return {};
   }
-  LintResult result = lint(app, platform, lines);
-  if (lint_gate_refuses(result, level)) throw LintGateError(std::move(result));
-  gate.lint = std::move(result);
+  LintGateArtifact gate = lint_artifact(app, platform, lines);
+  if (lint_gate_refuses(*gate.lint, level)) throw LintGateError(std::move(*gate.lint));
   return gate;
 }
 
@@ -81,27 +91,34 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
   // (AnalysisSession keys each pass on its dirty flags); the refusal policy
   // runs on the served result exactly as on a fresh one, so refusals always
   // reflect the current model.
+  LintGateArtifact gate;
   {
     ScopedSpan span(trace, stage_name(Stage::kLintGate));
     if (options.lint_level == LintLevel::kOff) {
       app.validate();
       cache.record(Stage::kLintGate, false);
     } else {
-      std::optional<LintResult> served = cache.serve_lint(app, platform);
+      std::optional<LintGateArtifact> served = cache.serve_lint(app, platform);
       const bool from_cache = served.has_value();
-      LintResult fresh = from_cache ? std::move(*served) : lint(app, platform);
-      if (lint_gate_refuses(fresh, options.lint_level)) {
-        throw LintGateError(std::move(fresh));
+      gate = from_cache ? std::move(*served) : lint_artifact(app, platform, nullptr);
+      if (lint_gate_refuses(*gate.lint, options.lint_level)) {
+        throw LintGateError(std::move(*gate.lint));
       }
-      span.count("diagnostics", static_cast<std::int64_t>(fresh.diagnostics.size()));
-      result.lint = std::move(fresh);
+      span.count("diagnostics", static_cast<std::int64_t>(gate.lint->diagnostics.size()));
+      result.lint = std::move(gate.lint);
       cache.record(Stage::kLintGate, from_cache);
     }
   }
+  // The linter merges under the dedicated oracle whenever a platform is
+  // present; its windows are the analysis windows only when that is the
+  // model's oracle too.
+  LintByproducts& derived = gate.derived;
+  if ((platform != nullptr) != dedicated) derived = {};
 
   // Stage kWindows: EST/LCT under the model's mergeability notion. A cache
-  // either serves the previous windows verbatim or, after a recompute,
-  // rules on value equality -- the verdict every downstream reuse keys on.
+  // either serves the previous windows verbatim or, after a recompute (or
+  // the lint gate's handover, which is one), rules on value equality -- the
+  // verdict every downstream reuse keys on.
   WindowsArtifact windows;
   {
     ScopedSpan span(trace, stage_name(Stage::kWindows));
@@ -110,6 +127,11 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
       windows.unchanged = true;
       cache.record(Stage::kWindows, true);
       span.count("reused", 1);
+    } else if (derived.windows) {
+      windows.windows = std::move(*derived.windows);
+      windows.unchanged = cache.revalidate_windows(windows.windows);
+      cache.record(Stage::kWindows, false);
+      span.count("from_lint", 1);
     } else {
       // Same thread knob as the bound engine; the windows are bit-identical
       // at any worker count, so the cache verdict below is unaffected.
@@ -138,6 +160,12 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
       partitions.partitions = *cached;
       cache.record(Stage::kPartitions, true);
       span.count("reused", 1);
+    } else if (derived.partitions) {
+      // Blocks of the lint gate's windows, which equal result.windows: the
+      // oracle matches, and any cache-served windows are value-equal.
+      partitions.partitions = std::move(*derived.partitions);
+      cache.record(Stage::kPartitions, false);
+      span.count("from_lint", 1);
     } else {
       partitions.partitions = partition_all(app, result.windows);
       cache.record(Stage::kPartitions, false);

@@ -68,6 +68,12 @@ std::span<const char* const> stage_names();
 struct LintGateArtifact {
   /// Diagnostics recorded on the result; nullopt at LintLevel::kOff.
   std::optional<LintResult> lint;
+  /// The windows and partitions the linter derived for its own passes
+  /// (dedicated oracle iff a platform was linted). run_pipeline() hands them
+  /// to kWindows/kPartitions instead of recomputing, but only when that
+  /// oracle is the analysis model's -- platform != nullptr exactly when the
+  /// model is SystemModel::Dedicated.
+  LintByproducts derived;
 };
 
 struct WindowsArtifact {
@@ -104,12 +110,14 @@ class StageCache {
   virtual ~StageCache() = default;
 
   /// kLintGate: serve a full LintResult -- bit-identical to a fresh
-  /// lint(app, platform) -- assembled from cached per-pass slices, or
-  /// nullopt to run the linter cold. Only consulted at lint levels other
-  /// than kOff (kOff never lints); the refusal policy is applied to the
-  /// served result exactly as to a fresh one.
-  virtual std::optional<LintResult> serve_lint(const Application& app,
-                                               const DedicatedPlatform* platform) {
+  /// lint(app, platform) -- assembled from cached per-pass slices, plus the
+  /// windows and partitions that run derived (if any), or nullopt to run the
+  /// linter cold.
+  /// Only consulted at lint levels other than kOff (kOff never lints); the
+  /// refusal policy is applied to the served result exactly as to a fresh
+  /// one.
+  virtual std::optional<LintGateArtifact> serve_lint(const Application& app,
+                                                     const DedicatedPlatform* platform) {
     (void)app;
     (void)platform;
     return std::nullopt;
@@ -181,7 +189,8 @@ bool lint_gate_refuses(const LintResult& result, LintLevel level);
 /// Run the kLintGate stage standalone, exactly as the pipeline does:
 /// Application::validate() at kOff (throws ModelError), otherwise lint the
 /// instance and throw LintGateError when lint_gate_refuses(). `lines` (may
-/// be null) attributes findings to source lines, as rtlb_lint does.
+/// be null) attributes findings to source lines, as rtlb_lint does. The
+/// artifact carries the linter's windows and partitions as well.
 LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* platform,
                                LintLevel level, const SourceMap* lines = nullptr);
 

@@ -108,16 +108,19 @@ class SessionStageCache final : public StageCache {
         lint_slices_(&lint_slices),
         stats_(&stats) {}
 
-  std::optional<LintResult> serve_lint(const Application& app,
-                                       const DedicatedPlatform* platform) override {
+  std::optional<LintGateArtifact> serve_lint(const Application& app,
+                                             const DedicatedPlatform* platform) override {
     // Always answered through the incremental driver: clean passes are
     // served from the stored slices, dirty ones re-run, and the slices are
     // recommitted -- so even a fully dirty gate run warms the next query.
     const Linter& linter = default_linter();
     const std::vector<bool> dirty = lint_dirty_mask(
         linter, windows_dirty_, demand_dirty_, structure_dirty_, platform_dirty_);
-    return linter.run_with_reuse(app, platform, nullptr, *lint_slices_, dirty,
-                                 &stats_->lint_pass_hits, &stats_->lint_pass_misses);
+    LintGateArtifact gate;
+    gate.lint = linter.run_with_reuse(app, platform, nullptr, *lint_slices_, dirty,
+                                      &stats_->lint_pass_hits, &stats_->lint_pass_misses,
+                                      {}, &gate.derived);
+    return gate;
   }
 
   const TaskWindows* cached_windows() override {

@@ -1,6 +1,7 @@
 #include "src/graph/dag.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace rtlb {
 
@@ -50,32 +51,42 @@ std::optional<std::vector<std::uint32_t>> Dag::topological_order() const {
   }
   std::vector<std::uint32_t> order;
   order.reserve(succ_.size());
+  // Min-heap frontier: the smallest ready id is always emitted next, which
+  // keeps the order deterministic.
   std::vector<std::uint32_t> frontier = sources();
-  // Process in ascending-id order within the frontier for determinism.
+  const std::greater<> min_first;
+  std::make_heap(frontier.begin(), frontier.end(), min_first);
   while (!frontier.empty()) {
-    std::sort(frontier.begin(), frontier.end(), std::greater<>{});
-    std::uint32_t v = frontier.back();
+    std::pop_heap(frontier.begin(), frontier.end(), min_first);
+    const std::uint32_t v = frontier.back();
     frontier.pop_back();
     order.push_back(v);
     for (std::uint32_t w : succ_[v]) {
-      if (--indeg[w] == 0) frontier.push_back(w);
+      if (--indeg[w] == 0) {
+        frontier.push_back(w);
+        std::push_heap(frontier.begin(), frontier.end(), min_first);
+      }
     }
   }
   if (order.size() != succ_.size()) return std::nullopt;
   return order;
 }
 
-std::vector<std::vector<bool>> Dag::reachability() const {
+BitMatrix Dag::reachability() const {
   auto topo = topological_order();
   RTLB_CHECK(topo.has_value(), "reachability on cyclic graph");
-  std::vector<std::vector<bool>> reach(succ_.size(), std::vector<bool>(succ_.size(), false));
-  for (auto it = topo->rbegin(); it != topo->rend(); ++it) {
-    std::uint32_t v = *it;
+  return reachability(*topo);
+}
+
+BitMatrix Dag::reachability(std::span<const std::uint32_t> topo) const {
+  RTLB_CHECK(topo.size() == succ_.size(), "topological order arity mismatch");
+  BitMatrix reach(succ_.size());
+  // Reverse topological order: every successor's row is final when ORed in.
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const std::uint32_t v = *it;
     for (std::uint32_t w : succ_[v]) {
-      reach[v][w] = true;
-      for (std::uint32_t x = 0; x < succ_.size(); ++x) {
-        if (reach[w][x]) reach[v][x] = true;
-      }
+      reach.set(v, w);
+      reach.or_row(v, w);
     }
   }
   return reach;
@@ -125,20 +136,30 @@ std::vector<std::uint32_t> Dag::levels() const {
 }
 
 Dag Dag::transitive_reduction() const {
-  if (!is_acyclic()) throw ModelError("transitive_reduction: graph has a cycle");
-  const auto reach = reachability();
+  auto topo = topological_order();
+  if (!topo) throw ModelError("transitive_reduction: graph has a cycle");
+  return transitive_reduction(*topo);
+}
+
+Dag Dag::transitive_reduction(std::span<const std::uint32_t> topo) const {
+  const BitMatrix reach = reachability(topo);
   Dag out(num_vertices());
+  std::vector<std::uint64_t> implied((succ_.size() + 63) / 64);
   for (std::uint32_t u = 0; u < succ_.size(); ++u) {
+    // u -> v is redundant iff some other successor w of u reaches v. A DAG
+    // vertex never reaches itself, so ORing every successor's row (v's own
+    // included) marks exactly the redundant targets.
+    std::fill(implied.begin(), implied.end(), 0);
+    for (std::uint32_t w : succ_[u]) {
+      const auto row = reach.row(w);
+      for (std::size_t k = 0; k < implied.size(); ++k) implied[k] |= row[k];
+    }
     for (std::uint32_t v : succ_[u]) {
-      // u -> v is redundant iff some other successor w of u reaches v.
-      bool redundant = false;
-      for (std::uint32_t w : succ_[u]) {
-        if (w != v && reach[w][v]) {
-          redundant = true;
-          break;
-        }
-      }
-      if (!redundant) out.add_edge(u, v);
+      if ((implied[v / 64] >> (v % 64)) & 1u) continue;
+      // A subset of a valid edge set: no duplicate or self-loop checks.
+      out.succ_[u].push_back(v);
+      out.pred_[v].push_back(u);
+      ++out.num_edges_;
     }
   }
   return out;

@@ -7,12 +7,45 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/common/types.hpp"
 
 namespace rtlb {
+
+/// Square bit matrix stored as one row of 64-bit words per vertex, so a row
+/// union is a word-parallel OR: the representation of Dag::reachability().
+class BitMatrix {
+ public:
+  BitMatrix() = default;
+  explicit BitMatrix(std::size_t n) : n_(n), words_((n + 63) / 64), bits_(n * words_, 0) {}
+
+  std::size_t size() const { return n_; }
+  bool test(std::size_t r, std::size_t c) const {
+    return ((bits_[r * words_ + c / 64] >> (c % 64)) & 1u) != 0;
+  }
+  void set(std::size_t r, std::size_t c) {
+    bits_[r * words_ + c / 64] |= std::uint64_t{1} << (c % 64);
+  }
+  std::span<const std::uint64_t> row(std::size_t r) const {
+    return {bits_.data() + r * words_, words_};
+  }
+  /// Row dst |= row src.
+  void or_row(std::size_t dst, std::size_t src) {
+    std::uint64_t* d = bits_.data() + dst * words_;
+    const std::uint64_t* s = bits_.data() + src * words_;
+    for (std::size_t k = 0; k < words_; ++k) d[k] |= s[k];
+  }
+
+  bool operator==(const BitMatrix&) const = default;
+
+ private:
+  std::size_t n_ = 0;
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> bits_;
+};
 
 class Dag {
  public:
@@ -39,13 +72,18 @@ class Dag {
   std::vector<std::uint32_t> sources() const;
   std::vector<std::uint32_t> sinks() const;
 
-  /// Kahn topological order, or nullopt if the edge set has a cycle.
+  /// Kahn topological order, or nullopt if the edge set has a cycle. Among
+  /// the ready vertices the smallest id always goes first, so the order is a
+  /// pure function of the edge set. O((V + E) log V).
   std::optional<std::vector<std::uint32_t>> topological_order() const;
 
   bool is_acyclic() const { return topological_order().has_value(); }
 
-  /// Bit-matrix reachability: reach[u][v] == true iff a path u ->* v exists.
-  std::vector<std::vector<bool>> reachability() const;
+  /// Reachability closure: reach.test(u, v) iff a path u ->* v of at least
+  /// one edge exists. Rows are ORed in reverse topological order, O(V*E/64).
+  /// Requires acyclic; `topo` overload takes a precomputed order.
+  BitMatrix reachability() const;
+  BitMatrix reachability(std::span<const std::uint32_t> topo) const;
 
   /// Longest weighted path ending at each vertex (vertex weights), i.e. the
   /// classic critical-path level. Requires acyclic; throws otherwise.
@@ -65,8 +103,11 @@ class Dag {
 
   /// The transitive reduction: the unique minimal edge set with the same
   /// reachability (unique for DAGs). Useful for de-cluttering generated
-  /// precedence graphs. Requires acyclic; throws otherwise.
+  /// precedence graphs. Requires acyclic; throws otherwise. Built on the
+  /// bitset closure: O(V*E/64). The kept edges keep their adjacency order.
   Dag transitive_reduction() const;
+  /// Same, over a precomputed topological order of this graph.
+  Dag transitive_reduction(std::span<const std::uint32_t> topo) const;
 
  private:
   std::vector<std::vector<std::uint32_t>> succ_;

@@ -61,13 +61,19 @@ std::string chain_names(const Application& app, const std::vector<TaskId>& chain
 }  // namespace
 
 AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform* platform) {
+  const auto order = app.dag().topological_order();
+  RTLB_CHECK(order.has_value(), "abstract_interpret requires an acyclic DAG");
+  return abstract_interpret(app, platform, *order, adjacent_messages(app));
+}
+
+AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform* platform,
+                                std::span<const std::uint32_t> order,
+                                const AdjacentMessages& messages) {
   const std::size_t n = app.num_tasks();
+  RTLB_CHECK(order.size() == n, "abstract_interpret requires an acyclic DAG");
   AbsIntResult r;
   r.est.resize(n);
   r.lct.resize(n);
-
-  const auto order = app.dag().topological_order();
-  RTLB_CHECK(order.has_value(), "abstract_interpret requires an acyclic DAG");
 
   // Witness parents of the chain-sum (lo-side EST, hi-side LCT) recurrences;
   // these are the sums the engine is FORCED to realize, so a violation along
@@ -76,15 +82,18 @@ AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform*
   std::vector<TaskId> lct_hi_parent(n, kInvalidTask);
 
   // EST sweep, topological order: predecessors are final when read.
-  for (TaskId i : *order) {
+  for (TaskId i : order) {
     const Task& t = app.task(i);
     AbsInterval v{static_cast<__int128>(t.release), static_cast<__int128>(t.release)};
     __int128 comp_sum = 0;
     __int128 max_pred_hi = -kAbsIntSaturation;
     __int128 max_msg = 0;
-    for (TaskId j : app.predecessors(i)) {
+    const auto& preds = app.predecessors(i);
+    const std::span<const Time> in_msg = messages.in(i);
+    for (std::size_t k = 0; k < preds.size(); ++k) {
+      const TaskId j = preds[k];
       const __int128 cj = static_cast<__int128>(app.task(j).comp);
-      const __int128 m = static_cast<__int128>(app.message(j, i));
+      const __int128 m = static_cast<__int128>(in_msg[k]);
       const __int128 lo_contrib =
           abs_sat_add(abs_sat_add(r.est[j].lo, cj), m < 0 ? m : 0);
       if (lo_contrib > v.lo) {
@@ -102,16 +111,19 @@ AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform*
   }
 
   // LCT sweep, reverse topological order: successors final when read.
-  for (auto it = order->rbegin(); it != order->rend(); ++it) {
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const TaskId i = *it;
     const Task& t = app.task(i);
     AbsInterval v{static_cast<__int128>(t.deadline), static_cast<__int128>(t.deadline)};
     __int128 comp_sum = 0;
     __int128 min_succ_lo = kAbsIntSaturation;
     __int128 max_msg = 0;
-    for (TaskId j : app.successors(i)) {
+    const auto& succs = app.successors(i);
+    const std::span<const Time> out_msg = messages.out(i);
+    for (std::size_t k = 0; k < succs.size(); ++k) {
+      const TaskId j = succs[k];
       const __int128 cj = static_cast<__int128>(app.task(j).comp);
-      const __int128 m = static_cast<__int128>(app.message(i, j));
+      const __int128 m = static_cast<__int128>(out_msg[k]);
       const __int128 hi_contrib =
           abs_sat_add(abs_sat_add(r.lct[j].hi, -cj), m < 0 ? -m : 0);
       if (hi_contrib < v.hi) {
@@ -131,7 +143,7 @@ AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform*
   // Verdict: the FIRST topological violation pins the report, must-overflow
   // outranking may-overflow. Only the chain-sum sides (est_lo, lct_hi) can
   // prove "must": they hold for every merge decision.
-  for (TaskId i : *order) {
+  for (TaskId i : order) {
     if (r.est[i].lo > kInt64Max &&
         (r.verdict != AbsVerdict::kMustOverflow)) {
       r.verdict = AbsVerdict::kMustOverflow;
@@ -149,7 +161,7 @@ AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform*
     }
   }
   if (r.verdict != AbsVerdict::kMustOverflow) {
-    for (TaskId i : *order) {
+    for (TaskId i : order) {
       const bool est_bad = r.est[i].lo < -kSafeTime || r.est[i].hi > kSafeTime ||
                            r.est[i].lo > kSafeTime || r.est[i].hi < -kSafeTime;
       const bool lct_bad = r.lct[i].lo < -kSafeTime || r.lct[i].hi > kSafeTime;

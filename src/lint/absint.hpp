@@ -39,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -112,6 +113,12 @@ struct AbsIntResult {
 /// after the structural pass found no errors.
 AbsIntResult abstract_interpret(const Application& app,
                                 const DedicatedPlatform* platform = nullptr);
+
+/// Same, over a precomputed topological order of app's DAG and its
+/// adjacency-aligned messages (the lint driver derives both once per run).
+AbsIntResult abstract_interpret(const Application& app, const DedicatedPlatform* platform,
+                                std::span<const std::uint32_t> order,
+                                const AdjacentMessages& messages);
 
 /// RTLB-E310/W311/W312: report the interpretation's verdict (ctx.absint;
 /// the pass is silent when the driver did not attach one).

@@ -1,6 +1,7 @@
 #include "src/lint/dataflow.hpp"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,14 +32,19 @@ std::string chain_names(const Application& app, const std::vector<TaskId>& chain
 
 /// N421: edges the transitive reduction drops and whose message is free.
 /// (A redundant edge with a non-zero message still contributes a latency
-/// term, so only zero-message redundancy is safe to advise away.)
+/// term, so only zero-message redundancy is safe to advise away -- and an
+/// instance without zero-message edges needs no closure at all.)
 void redundant_edges(const LintContext& ctx, DiagnosticSink& sink) {
   const Application& app = ctx.app;
-  if (app.dag().num_edges() == 0) return;
-  const Dag reduced = app.dag().transitive_reduction();
+  const AdjacentMessages& msgs = *ctx.messages;
+  if (std::find(msgs.succ_msg.begin(), msgs.succ_msg.end(), 0) == msgs.succ_msg.end()) return;
+  const Dag reduced = app.dag().transitive_reduction(**ctx.topo);
   for (TaskId i = 0; i < app.num_tasks(); ++i) {
-    for (TaskId j : app.successors(i)) {
-      if (app.message(i, j) != 0 || reduced.has_edge(i, j)) continue;
+    const auto& succ = app.successors(i);
+    const std::span<const Time> msg = msgs.out(i);
+    for (std::size_t k = 0; k < succ.size(); ++k) {
+      const TaskId j = succ[k];
+      if (msg[k] != 0 || reduced.has_edge(i, j)) continue;
       Diagnostic d = sink.make("RTLB-N421", edge_subject(app, i, j),
                                "ordering already implied by the remaining edges "
                                "(transitive reduction drops this edge)");
@@ -99,19 +105,26 @@ void chain_determined_windows(const LintContext& ctx, DiagnosticSink& sink) {
 void dead_latency_edges(const LintContext& ctx, DiagnosticSink& sink) {
   const Application& app = ctx.app;
   const AbsIntResult& ai = *ctx.absint;
+  const AdjacentMessages& msgs = *ctx.messages;
 
   for (TaskId u = 0; u < app.num_tasks(); ++u) {
-    for (TaskId v : app.successors(u)) {
-      const __int128 m = static_cast<__int128>(app.message(u, v));
+    const auto& succ_u = app.successors(u);
+    const std::span<const Time> out_u = msgs.out(u);
+    for (std::size_t kv = 0; kv < succ_u.size(); ++kv) {
+      const TaskId v = succ_u[kv];
+      const __int128 m = static_cast<__int128>(out_u[kv]);
       if (m <= 0) continue;  // zero messages are N402's finding
 
       // EST side of v: floor over v's OTHER constraints.
       __int128 est_floor = static_cast<__int128>(app.task(v).release);
-      for (TaskId j : app.predecessors(v)) {
+      const auto& pred_v = app.predecessors(v);
+      const std::span<const Time> in_v = msgs.in(v);
+      for (std::size_t k = 0; k < pred_v.size(); ++k) {
+        const TaskId j = pred_v[k];
         if (j == u) continue;
         const __int128 contrib = abs_sat_add(
             abs_sat_add(ai.est[j].lo, static_cast<__int128>(app.task(j).comp)),
-            app.message(j, v) < 0 ? static_cast<__int128>(app.message(j, v)) : 0);
+            in_v[k] < 0 ? static_cast<__int128>(in_v[k]) : 0);
         est_floor = std::max(est_floor, contrib);
       }
       const __int128 est_term = abs_sat_add(
@@ -120,11 +133,12 @@ void dead_latency_edges(const LintContext& ctx, DiagnosticSink& sink) {
 
       // LCT side of u: ceiling over u's OTHER constraints.
       __int128 lct_ceil = static_cast<__int128>(app.task(u).deadline);
-      for (TaskId j : app.successors(u)) {
+      for (std::size_t k = 0; k < succ_u.size(); ++k) {
+        const TaskId j = succ_u[k];
         if (j == v) continue;
         const __int128 contrib = abs_sat_add(
             abs_sat_add(ai.lct[j].hi, -static_cast<__int128>(app.task(j).comp)),
-            app.message(u, j) < 0 ? -static_cast<__int128>(app.message(u, j)) : 0);
+            out_u[k] < 0 ? -static_cast<__int128>(out_u[k]) : 0);
         lct_ceil = std::min(lct_ceil, contrib);
       }
       const __int128 lct_term = abs_sat_add(
@@ -133,7 +147,7 @@ void dead_latency_edges(const LintContext& ctx, DiagnosticSink& sink) {
 
       Diagnostic d = sink.make(
           "RTLB-N423", edge_subject(app, u, v),
-          "message latency (msg " + std::to_string(app.message(u, v)) +
+          "message latency (msg " + std::to_string(out_u[kv]) +
               ") can never bind: the EST term tops out at " + i128_str(est_term) +
               " against a floor of " + i128_str(est_floor) +
               ", and the send-deadline bottoms out at " + i128_str(lct_term) +

@@ -18,8 +18,9 @@
 //              send-deadline is dominated by the ceiling (proved from the
 //              absint intervals, so it holds for every merge decision).
 //
-// N421 needs only the graph; N422/N423 need ctx.windows and ctx.absint and
-// are skipped when the driver could not compute them.
+// N421 needs only the graph (ctx.topo, ctx.messages); N422/N423 need
+// ctx.windows and ctx.absint and are skipped when the driver could not
+// compute them.
 #pragma once
 
 #include "src/lint/linter.hpp"

@@ -58,20 +58,24 @@ Linter::Linter() {
 void Linter::register_pass(LintPass pass) { passes_.push_back(std::move(pass)); }
 
 LintResult Linter::run(const Application& app, const DedicatedPlatform* platform,
-                       const SourceMap* lines, const LintOptions& options) const {
+                       const SourceMap* lines, const LintOptions& options,
+                       LintByproducts* byproducts) const {
   LintPassSlices scratch;  // empty dirty mask = recompute everything
-  return run_with_reuse(app, platform, lines, scratch, {}, nullptr, nullptr, options);
+  return run_with_reuse(app, platform, lines, scratch, {}, nullptr, nullptr, options,
+                        byproducts);
 }
 
 LintResult Linter::run_with_reuse(const Application& app, const DedicatedPlatform* platform,
                                   const SourceMap* lines, LintPassSlices& slices,
                                   const std::vector<bool>& dirty,
                                   std::uint64_t* pass_hits, std::uint64_t* pass_misses,
-                                  const LintOptions& options) const {
+                                  const LintOptions& options,
+                                  LintByproducts* byproducts) const {
   // Slices recorded under non-default options are not reusable (werror
   // rewrites severities in place, max_errors truncates across passes), so
   // such runs neither serve nor commit slices.
   const bool reusable = options.max_errors == 0 && !options.werror;
+  if (byproducts != nullptr) *byproducts = {};
   const bool have_mask = dirty.size() == passes_.size();
   auto pass_clean = [&](std::size_t k) {
     return reusable && have_mask && slices.valid &&
@@ -80,7 +84,10 @@ LintResult Linter::run_with_reuse(const Application& app, const DedicatedPlatfor
 
   LintResult result;
   DiagnosticSink sink(result, options);
-  LintContext ctx{app, platform, lines, nullptr, nullptr};
+  // One topological order per run, shared by structural acyclicity, absint
+  // and the transitive reduction.
+  const std::optional<std::vector<std::uint32_t>> topo = app.dag().topological_order();
+  LintContext ctx{app, platform, lines, nullptr, nullptr, &topo, nullptr};
   std::vector<std::vector<Diagnostic>> fresh(passes_.size());
 
   auto run_pass = [&](std::size_t k) {
@@ -132,19 +139,26 @@ LintResult Linter::run_with_reuse(const Application& app, const DedicatedPlatfor
     // materialized when every intermediate is provably within the safe
     // range, so the linter itself can never trip the overflow it reports.
     std::optional<AbsIntResult> absint;
-    TaskWindows windows;
+    AdjacentMessages messages;
+    LintByproducts local;
+    LintByproducts& out = byproducts != nullptr ? *byproducts : local;
     if (recompute_any) {
-      absint = abstract_interpret(app, platform);
+      RTLB_CHECK(topo.has_value(), "model lint passes need an acyclic DAG");
+      messages = adjacent_messages(app);
+      ctx.messages = &messages;
+      absint = abstract_interpret(app, platform, *topo, messages);
       ctx.absint = &*absint;
       if (absint->windows_safe()) {
         if (platform != nullptr) {
           DedicatedMergeOracle oracle(*platform);
-          windows = compute_windows(app, oracle);
+          out.windows = compute_windows(app, oracle);
         } else {
           SharedMergeOracle oracle;
-          windows = compute_windows(app, oracle);
+          out.windows = compute_windows(app, oracle);
         }
-        ctx.windows = &windows;
+        ctx.windows = &*out.windows;
+        out.partitions = partition_all(app, *out.windows);
+        ctx.partitions = &*out.partitions;
       }
     }
     for (std::size_t k = 0; k < passes_.size(); ++k) {

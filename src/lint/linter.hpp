@@ -21,6 +21,7 @@
 
 #include "src/common/json.hpp"
 #include "src/core/est_lct.hpp"
+#include "src/core/partition.hpp"
 #include "src/lint/diagnostic.hpp"
 #include "src/model/application.hpp"
 #include "src/model/io.hpp"
@@ -57,12 +58,23 @@ struct LintResult {
 /// `windows` only when the interpretation additionally PROVED the window
 /// computation stays within the safe Time range -- the absint verdict
 /// replaced the old coarse whole-graph sum guard as the gate.
+///
+/// The driver also derives model views once per run and shares them with
+/// every pass: `topo`, the DAG's topological order (*topo is nullopt on a
+/// cycle), `messages`, the edge messages aligned with the adjacency lists,
+/// and `partitions`, the Theorem-5 blocks of `windows` (set exactly when
+/// `windows` is). `topo` is set for every pass, `messages` for the model
+/// passes; a caller running the structural pass alone
+/// (Application::validate) may leave them null.
 struct LintContext {
   const Application& app;
   const DedicatedPlatform* platform = nullptr;
   const SourceMap* lines = nullptr;
   const TaskWindows* windows = nullptr;
   const AbsIntResult* absint = nullptr;
+  const std::optional<std::vector<std::uint32_t>>* topo = nullptr;
+  const AdjacentMessages* messages = nullptr;
+  const std::vector<ResourcePartition>* partitions = nullptr;
 
   /// Line of task i's declaration; 0 when unknown.
   int task_line(TaskId i) const { return lines ? lines->task_line(i) : 0; }
@@ -125,6 +137,18 @@ struct LintPassSlices {
   std::vector<std::vector<Diagnostic>> by_pass;  ///< indexed like Linter::passes()
 };
 
+/// Model values a lint run derived for its own passes, handed to the caller
+/// so the analysis pipeline need not derive them again.
+struct LintByproducts {
+  /// The EST/LCT windows, present when the run recomputed a model pass and
+  /// absint proved them safe. Computed under the dedicated merge oracle when
+  /// a platform was passed and the shared one otherwise, so they are the
+  /// analysis windows only when that matches the analysis model.
+  std::optional<TaskWindows> windows;
+  /// partition_all() over those windows; present exactly when they are.
+  std::optional<std::vector<ResourcePartition>> partitions;
+};
+
 /// The driver. Default-constructed with the standard pass order: structural,
 /// temporal, platform-coverage, numeric-safety, absint, dataflow, hygiene.
 class Linter {
@@ -136,8 +160,10 @@ class Linter {
 
   const std::vector<LintPass>& passes() const { return passes_; }
 
+  /// `byproducts` (may be null) receives the model values the run derived.
   LintResult run(const Application& app, const DedicatedPlatform* platform = nullptr,
-                 const SourceMap* lines = nullptr, const LintOptions& options = {}) const;
+                 const SourceMap* lines = nullptr, const LintOptions& options = {},
+                 LintByproducts* byproducts = nullptr) const;
 
   /// Incremental run: serve pass k's diagnostics from `slices` when the
   /// caller's `dirty` mask clears it (dirty must have one entry per pass;
@@ -146,13 +172,14 @@ class Linter {
   /// construction -- slices are only reusable while the model state each
   /// pass reads is unchanged, which is the CALLER's obligation (the session
   /// derives it from its dirty flags). `pass_hits`/`pass_misses` (may be
-  /// null) count one hit or miss per pass per call.
+  /// null) count one hit or miss per pass per call; `byproducts` as in run().
   LintResult run_with_reuse(const Application& app, const DedicatedPlatform* platform,
                             const SourceMap* lines, LintPassSlices& slices,
                             const std::vector<bool>& dirty,
                             std::uint64_t* pass_hits = nullptr,
                             std::uint64_t* pass_misses = nullptr,
-                            const LintOptions& options = {}) const;
+                            const LintOptions& options = {},
+                            LintByproducts* byproducts = nullptr) const;
 
  private:
   std::vector<LintPass> passes_;

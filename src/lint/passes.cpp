@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 
-#include "src/core/partition.hpp"
 #include "src/lint/fixit.hpp"
 
 namespace rtlb {
@@ -101,7 +101,8 @@ void structural_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
     }
   }
 
-  if (!app.dag().is_acyclic()) {
+  const bool acyclic = ctx.topo != nullptr ? ctx.topo->has_value() : app.dag().is_acyclic();
+  if (!acyclic) {
     sink.emit(sink.make("RTLB-E007", "", "precedence graph has a cycle"));
   }
 }
@@ -274,8 +275,11 @@ void numeric_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
     sink.emit(std::move(d));
   }
   for (TaskId i = 0; i < app.num_tasks(); ++i) {
-    for (TaskId j : app.successors(i)) {
-      if (app.message(i, j) <= kTimeMax) continue;
+    const auto& succ = app.successors(i);
+    const std::span<const Time> msg = ctx.messages->out(i);
+    for (std::size_t k = 0; k < succ.size(); ++k) {
+      const TaskId j = succ[k];
+      if (msg[k] <= kTimeMax) continue;
       Diagnostic d = sink.make("RTLB-W302", edge_subject(app, i, j),
                                "message size beyond kTimeMax (" + std::to_string(kTimeMax) +
                                    ")");
@@ -306,8 +310,11 @@ void hygiene_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
 
   // N402: zero-size messages.
   for (TaskId i = 0; i < app.num_tasks(); ++i) {
-    for (TaskId j : app.successors(i)) {
-      if (app.message(i, j) != 0) continue;
+    const auto& succ = app.successors(i);
+    const std::span<const Time> msg = ctx.messages->out(i);
+    for (std::size_t k = 0; k < succ.size(); ++k) {
+      const TaskId j = succ[k];
+      if (msg[k] != 0) continue;
       Diagnostic d = sink.make("RTLB-N402", edge_subject(app, i, j));
       d.line = ctx.edge_line(i, j);
       sink.emit(std::move(d));
@@ -316,8 +323,8 @@ void hygiene_lint_pass(const LintContext& ctx, DiagnosticSink& sink) {
 
   // N403: resources whose ST_r never splits -- the Theorem-5 speedup does
   // not apply, so the full quadratic interval scan runs for them.
-  if (ctx.windows != nullptr) {
-    for (const ResourcePartition& p : partition_all(app, *ctx.windows)) {
+  if (ctx.partitions != nullptr) {
+    for (const ResourcePartition& p : *ctx.partitions) {
       if (p.blocks.size() != 1 || p.blocks[0].tasks.size() < 2) continue;
       Diagnostic d =
           sink.make("RTLB-N403", catalog_subject(app, p.resource),

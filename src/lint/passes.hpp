@@ -28,7 +28,7 @@ void platform_lint_pass(const LintContext& ctx, DiagnosticSink& sink);
 void numeric_lint_pass(const LintContext& ctx, DiagnosticSink& sink);
 
 /// RTLB-W401/N402/N403: isolated tasks (in a DAG that has edges), zero-size
-/// messages, single-block partitions. Requires ctx.windows for N403.
+/// messages, single-block partitions. Requires ctx.partitions for N403.
 void hygiene_lint_pass(const LintContext& ctx, DiagnosticSink& sink);
 
 }  // namespace rtlb

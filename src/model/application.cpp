@@ -21,23 +21,70 @@ void Application::add_edge(TaskId from, TaskId to, Time msg_size) {
   RTLB_CHECK(from < tasks_.size() && to < tasks_.size(), "edge endpoint out of range");
   if (msg_size < 0) throw ModelError("negative message size");
   dag_.add_edge(from, to);
-  messages_[{from, to}] = msg_size;
+  // New empty rows up to `from` start at the end of the store.
+  if (msg_row_.size() < std::size_t{from} + 2) {
+    msg_row_.resize(std::size_t{from} + 2, static_cast<std::uint32_t>(messages_.size()));
+  }
+  const auto first = messages_.begin() + msg_row_[from];
+  const auto last = messages_.begin() + msg_row_[from + 1];
+  const auto pos = std::lower_bound(first, last, to, [](const EdgeMessage& e, TaskId t) {
+    return e.first.second < t;
+  });
+  messages_.insert(pos, EdgeMessage{{from, to}, msg_size});
+  for (std::size_t k = std::size_t{from} + 1; k < msg_row_.size(); ++k) ++msg_row_[k];
+}
+
+std::size_t Application::find_message(TaskId from, TaskId to) const {
+  if (std::size_t{from} + 1 >= msg_row_.size()) return messages_.size();
+  const auto first = messages_.begin() + msg_row_[from];
+  const auto last = messages_.begin() + msg_row_[from + 1];
+  const auto it = std::lower_bound(first, last, to, [](const EdgeMessage& e, TaskId t) {
+    return e.first.second < t;
+  });
+  if (it == last || it->first.second != to) return messages_.size();
+  return static_cast<std::size_t>(it - messages_.begin());
 }
 
 Time Application::message(TaskId from, TaskId to) const {
-  auto it = messages_.find({from, to});
-  RTLB_CHECK(it != messages_.end(), "message queried for a missing edge");
-  return it->second;
+  const std::size_t k = find_message(from, to);
+  RTLB_CHECK(k != messages_.size(), "message queried for a missing edge");
+  return messages_[k].second;
 }
 
 void Application::set_message(TaskId from, TaskId to, Time msg_size) {
-  auto it = messages_.find({from, to});
-  if (it == messages_.end()) {
+  const std::size_t k = find_message(from, to);
+  if (k == messages_.size()) {
     throw ModelError("set_message: no edge " + std::to_string(from) + " -> " +
                      std::to_string(to));
   }
   if (msg_size < 0) throw ModelError("negative message size");
-  it->second = msg_size;
+  messages_[k].second = msg_size;
+}
+
+AdjacentMessages adjacent_messages(const Application& app) {
+  const std::size_t n = app.num_tasks();
+  AdjacentMessages m;
+  m.succ_off.resize(n + 1, 0);
+  m.pred_off.resize(n + 1, 0);
+  for (TaskId i = 0; i < n; ++i) {
+    m.succ_off[i + 1] = m.succ_off[i] + app.successors(i).size();
+    m.pred_off[i + 1] = m.pred_off[i] + app.predecessors(i).size();
+  }
+  m.succ_msg.resize(m.succ_off[n]);
+  m.pred_msg.resize(m.pred_off[n]);
+  // One ordered pass over the store; the adjacency lists are short, so
+  // locating each edge's slot by linear scan is a handful of contiguous int
+  // compares.
+  for (const auto& [key, msg] : app.messages()) {
+    const auto [from, to] = key;
+    const auto& succ = app.successors(from);
+    const auto& pred = app.predecessors(to);
+    const auto si = std::find(succ.begin(), succ.end(), to) - succ.begin();
+    const auto pi = std::find(pred.begin(), pred.end(), from) - pred.begin();
+    m.succ_msg[m.succ_off[from] + static_cast<std::size_t>(si)] = msg;
+    m.pred_msg[m.pred_off[to] + static_cast<std::size_t>(pi)] = msg;
+  }
+  return m;
 }
 
 std::vector<ResourceId> Application::resource_set() const {

@@ -2,9 +2,10 @@
 // with message sizes on edges.
 #pragma once
 
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.hpp"
@@ -39,13 +40,17 @@ class Application {
   const std::vector<std::uint32_t>& predecessors(TaskId i) const { return dag_.predecessors(i); }
   const std::vector<std::uint32_t>& successors(TaskId i) const { return dag_.successors(i); }
 
-  /// m_{ji}: message size on edge j -> i. Edge must exist.
+  /// One edge message: ((from, to), m_{from,to}).
+  using EdgeMessage = std::pair<std::pair<TaskId, TaskId>, Time>;
+
+  /// m_{ji}: message size on edge j -> i. Edge must exist. A row-index
+  /// lookup plus a search of task j's (sorted) outgoing messages.
   Time message(TaskId from, TaskId to) const;
 
   /// Every edge message, ordered by (from, to) -- one entry per DAG edge.
-  /// For whole-graph snapshots (the windows engine's flat model): one pass
-  /// here instead of one message() lookup per edge.
-  const std::map<std::pair<TaskId, TaskId>, Time>& messages() const { return messages_; }
+  /// For whole-graph snapshots: one pass here instead of one message()
+  /// lookup per edge (see also adjacent_messages()).
+  const std::vector<EdgeMessage>& messages() const { return messages_; }
 
   /// Resize the message on an EXISTING edge (ModelError otherwise) -- the
   /// delta the sensitivity sweeps and AnalysisSession apply; the DAG shape
@@ -74,10 +79,38 @@ class Application {
   void validate() const;
 
  private:
+  /// messages_ index of (from, to), or messages_.size() when absent.
+  std::size_t find_message(TaskId from, TaskId to) const;
+
   const ResourceCatalog* catalog_;
   std::vector<Task> tasks_;
   Dag dag_;
-  std::map<std::pair<TaskId, TaskId>, Time> messages_;
+  /// The one message store, sorted by (from, to).
+  std::vector<EdgeMessage> messages_;
+  /// Row index into messages_: task i's outgoing messages are
+  /// [msg_row_[i], msg_row_[i + 1]). It covers tasks up to the last one with
+  /// an outgoing edge; the rows past its end are empty, so appending edges
+  /// in ascending `from` order costs O(1) each.
+  std::vector<std::uint32_t> msg_row_;
 };
+
+/// Edge messages laid out alongside the DAG adjacency lists:
+/// out(i)[k] is m_{i, successors(i)[k]} and in(i)[k] is
+/// m_{predecessors(i)[k], i}. A read-only snapshot for per-edge loops (the
+/// windows engine, the lint passes), built in one pass over messages(); it
+/// goes stale when a message changes.
+struct AdjacentMessages {
+  std::vector<std::size_t> succ_off, pred_off;  ///< n+1 CSR offsets
+  std::vector<Time> succ_msg, pred_msg;         ///< aligned with adjacency order
+
+  std::span<const Time> out(TaskId i) const {
+    return {succ_msg.data() + succ_off[i], succ_off[i + 1] - succ_off[i]};
+  }
+  std::span<const Time> in(TaskId i) const {
+    return {pred_msg.data() + pred_off[i], pred_off[i + 1] - pred_off[i]};
+  }
+};
+
+AdjacentMessages adjacent_messages(const Application& app);
 
 }  // namespace rtlb

@@ -2,6 +2,7 @@
 
 #include <istream>
 #include <sstream>
+#include <unordered_map>
 
 #include "src/common/strings.hpp"
 
@@ -39,6 +40,13 @@ ProblemInstance parse_instance(std::istream& in, const ParseOptions& options) {
   ProblemInstance inst;
   inst.catalog = std::make_unique<ResourceCatalog>();
   inst.app = std::make_unique<Application>(*inst.catalog);
+  // Task name -> id, so resolving names keeps parsing linear (lookups only;
+  // the map is never iterated).
+  std::unordered_map<std::string, TaskId> task_ids;
+  const auto lookup_task = [&](const std::string& name) {
+    const auto it = task_ids.find(name);
+    return it == task_ids.end() ? kInvalidTask : it->second;
+  };
 
   std::string raw;
   int line_no = 0;
@@ -93,13 +101,16 @@ ProblemInstance parse_instance(std::istream& in, const ParseOptions& options) {
         else fail(line_no, "unknown key '" + k + "'");
       }
       if (!have_proc) fail(line_no, "task '" + t.name + "' missing proc");
-      if (inst.app->find_task(t.name) != kInvalidTask) fail(line_no, "duplicate task '" + t.name + "'");
+      const auto id = static_cast<TaskId>(inst.app->num_tasks());
+      if (!task_ids.try_emplace(t.name, id).second) {
+        fail(line_no, "duplicate task '" + t.name + "'");
+      }
       inst.app->add_task(std::move(t));
       inst.lines.task_lines.push_back(line_no);
     } else if (kind == "edge") {
       if (tok.size() < 3) fail(line_no, "edge needs two task names");
-      TaskId from = inst.app->find_task(tok[1]);
-      TaskId to = inst.app->find_task(tok[2]);
+      TaskId from = lookup_task(tok[1]);
+      TaskId to = lookup_task(tok[2]);
       if (from == kInvalidTask) fail(line_no, "unknown task '" + tok[1] + "'");
       if (to == kInvalidTask) fail(line_no, "unknown task '" + tok[2] + "'");
       Time msg = 0;

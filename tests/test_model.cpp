@@ -140,6 +140,52 @@ TEST_F(ApplicationTest, EdgesAndMessages) {
   EXPECT_THROW(app_.add_edge(a, b, -1), ModelError);  // duplicate is also rejected
 }
 
+TEST_F(ApplicationTest, MessagesStaySortedAfterOutOfOrderEdges) {
+  const TaskId a = add("a", p1_);
+  const TaskId b = add("b", p1_);
+  const TaskId c = add("c", p1_);
+  const TaskId d = add("d", p1_);
+  // Edges arrive out of (from, to) order: later rows first, and a row's
+  // targets descending.
+  app_.add_edge(c, d, 7);
+  app_.add_edge(a, d, 3);
+  app_.add_edge(a, b, 1);
+  app_.add_edge(b, d, 0);
+  app_.add_edge(a, c, 2);
+  const std::vector<Application::EdgeMessage> want{
+      {{a, b}, 1}, {{a, c}, 2}, {{a, d}, 3}, {{b, d}, 0}, {{c, d}, 7}};
+  EXPECT_EQ(app_.messages(), want);
+  for (const auto& [edge, msg] : want) EXPECT_EQ(app_.message(edge.first, edge.second), msg);
+
+  app_.set_message(a, c, 9);
+  app_.set_message(c, d, 0);
+  EXPECT_EQ(app_.message(a, c), 9);
+  EXPECT_EQ(app_.message(c, d), 0);
+  EXPECT_EQ(app_.message(a, b), 1);  // neighbours untouched
+  EXPECT_EQ(app_.message(a, d), 3);
+  EXPECT_EQ(app_.messages()[1], (Application::EdgeMessage{{a, c}, 9}));
+  EXPECT_EQ(app_.messages().size(), 5u);  // resizing never adds an entry
+
+  // Missing edges: reversed, within a row, and from a task with no row.
+  EXPECT_THROW(app_.set_message(d, c, 1), ModelError);
+  EXPECT_THROW(app_.set_message(b, c, 1), ModelError);
+  EXPECT_THROW(app_.set_message(d, a, 1), ModelError);
+  EXPECT_THROW(app_.set_message(a, b, -1), ModelError);
+
+  // The adjacency-aligned view follows successors()/predecessors() order.
+  const AdjacentMessages view = adjacent_messages(app_);
+  for (TaskId i = 0; i < app_.num_tasks(); ++i) {
+    ASSERT_EQ(view.out(i).size(), app_.successors(i).size());
+    for (std::size_t k = 0; k < app_.successors(i).size(); ++k) {
+      EXPECT_EQ(view.out(i)[k], app_.message(i, app_.successors(i)[k]));
+    }
+    ASSERT_EQ(view.in(i).size(), app_.predecessors(i).size());
+    for (std::size_t k = 0; k < app_.predecessors(i).size(); ++k) {
+      EXPECT_EQ(view.in(i)[k], app_.message(app_.predecessors(i)[k], i));
+    }
+  }
+}
+
 TEST_F(ApplicationTest, RejectsNegativeMessage) {
   const TaskId a = add("a", p1_);
   const TaskId b = add("b", p1_);

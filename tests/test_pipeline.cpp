@@ -13,9 +13,11 @@
 //    SessionStats counters behave as documented.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
 #include <string>
 
+#include "src/core/partition.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/report.hpp"
 #include "src/core/session.hpp"
@@ -112,6 +114,164 @@ TEST(PipelineProperty, TracedRunIsBitIdenticalToUntraced) {
                            "seed " + std::to_string(seed));
       EXPECT_EQ(trace.open_depth(), 0u);
     }
+  }
+}
+
+TaskWindows fresh_windows(const Application& app, SystemModel model,
+                          const DedicatedPlatform* platform) {
+  if (model == SystemModel::Dedicated) {
+    DedicatedMergeOracle oracle(*platform);
+    return compute_windows(app, oracle);
+  }
+  SharedMergeOracle oracle;
+  return compute_windows(app, oracle);
+}
+
+void expect_same_partitions(const std::vector<ResourcePartition>& got,
+                            const std::vector<ResourcePartition>& want,
+                            const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(got[r].resource, want[r].resource) << context;
+    ASSERT_EQ(got[r].blocks.size(), want[r].blocks.size()) << context;
+    for (std::size_t b = 0; b < got[r].blocks.size(); ++b) {
+      EXPECT_EQ(got[r].blocks[b].tasks, want[r].blocks[b].tasks) << context;
+      EXPECT_EQ(got[r].blocks[b].start, want[r].blocks[b].start) << context;
+      EXPECT_EQ(got[r].blocks[b].finish, want[r].blocks[b].finish) << context;
+    }
+  }
+}
+
+std::int64_t span_counter(const Trace& trace, const std::string& span,
+                          const std::string& counter) {
+  std::int64_t total = 0;
+  for (const TraceSpan& s : trace.spans()) {
+    if (s.name != span) continue;
+    for (const TraceCounter& c : s.counters) {
+      if (c.name == counter) total += c.value;
+    }
+  }
+  return total;
+}
+
+// The lint gate hands the windows it derived (and their partitions) to
+// kWindows/kPartitions, but only under the analysis model's merge oracle:
+// the linter merges under the dedicated oracle whenever a platform is
+// present, so a Shared-model run with a platform must compute its own.
+// Cold and warm, the handed-over values equal a fresh compute_windows().
+TEST(LintHandover, HandedOverWindowsEqualAFreshComputation) {
+  for (const Config& cfg : kConfigs) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      ProblemInstance inst = corpus_instance(seed);
+      const Application& app = *inst.app;
+      const DedicatedPlatform* platform = cfg.platform ? &inst.platform : nullptr;
+      const bool oracle_matches = (platform != nullptr) == (cfg.model == SystemModel::Dedicated);
+      const std::string context = "model " + std::to_string(static_cast<int>(cfg.model)) +
+                                  " platform " + std::to_string(cfg.platform) + " seed " +
+                                  std::to_string(seed);
+      AnalysisOptions options;
+      options.model = cfg.model;
+      options.joint_bounds = cfg.joint;
+      options.lower_bound.enable_pruning = cfg.pruning;
+      options.lint_level = LintLevel::kReport;  // kOff never lints
+
+      const TaskWindows want = fresh_windows(app, cfg.model, platform);
+      const LintGateArtifact gate = run_lint_gate(app, platform, LintLevel::kReport);
+      ASSERT_TRUE(gate.derived.windows.has_value()) << context;
+      const SystemModel lint_model =
+          platform != nullptr ? SystemModel::Dedicated : SystemModel::Shared;
+      EXPECT_EQ(*gate.derived.windows, fresh_windows(app, lint_model, platform)) << context;
+      ASSERT_TRUE(gate.derived.partitions.has_value()) << context;
+      expect_same_partitions(*gate.derived.partitions,
+                             partition_all(app, *gate.derived.windows), context);
+
+      Trace trace;
+      options.trace = &trace;
+      const AnalysisResult cold = run_pipeline(app, options, platform);
+      EXPECT_EQ(cold.windows, want) << context;
+      expect_same_partitions(cold.partitions, partition_all(app, want), context);
+      EXPECT_EQ(span_counter(trace, "windows", "from_lint"), oracle_matches ? 1 : 0)
+          << context;
+      EXPECT_EQ(span_counter(trace, "partitions", "from_lint"), oracle_matches ? 1 : 0)
+          << context;
+
+      // Warm: a deadline delta makes the session's incremental lint rerun
+      // and hand over again.
+      options.trace = nullptr;
+      AnalysisSession session(app, options, platform);
+      session.analyze();
+      const TaskId last = static_cast<TaskId>(app.num_tasks() - 1);
+      session.set_deadline(last, app.task(last).deadline + 3);
+      const AnalysisResult& warm = session.analyze();
+      const TaskWindows warm_want = fresh_windows(session.app(), cfg.model, platform);
+      EXPECT_EQ(warm.windows, warm_want) << context;
+      expect_same_partitions(warm.partitions, partition_all(session.app(), warm_want),
+                             context);
+    }
+  }
+}
+
+// The mismatch leg with teeth: a and b share a processor type (mergeable
+// under the shared model) but no node hosts both resources, so the
+// dedicated oracle pays the message and the two oracles' windows differ.
+TEST(LintHandover, SharedModelWithPlatformKeepsItsOwnWindows) {
+  ProblemInstance inst = parse_instance_string(
+      "proctype P cost 1\n"
+      "resource r1 cost 1\n"
+      "resource r2 cost 1\n"
+      "task a comp 2 rel 0 deadline 30 proc P res r1\n"
+      "task b comp 3 rel 0 deadline 30 proc P res r2\n"
+      "edge a b msg 5\n"
+      "node N1 cost 1 proc P res r1:1\n"
+      "node N2 cost 1 proc P res r2:1\n");
+  const Application& app = *inst.app;
+  const TaskWindows shared = fresh_windows(app, SystemModel::Shared, nullptr);
+  const TaskWindows dedicated = fresh_windows(app, SystemModel::Dedicated, &inst.platform);
+  ASSERT_NE(shared, dedicated);
+
+  AnalysisOptions options;
+  options.lint_level = LintLevel::kReport;
+  for (SystemModel model : {SystemModel::Shared, SystemModel::Dedicated}) {
+    options.model = model;
+    const TaskWindows& want = model == SystemModel::Shared ? shared : dedicated;
+    EXPECT_EQ(run_pipeline(app, options, &inst.platform).windows, want);
+    AnalysisSession session(app, options, &inst.platform);
+    EXPECT_EQ(session.analyze().windows, want);
+    session.set_deadline(1, 31);
+    EXPECT_EQ(session.analyze().windows,
+              fresh_windows(session.app(), model, &inst.platform));
+  }
+}
+
+// A chain whose window recurrence overflows: absint cannot prove the
+// windows safe, so the gate hands nothing over and kWindows' own checked
+// arithmetic must still refuse with ModelError.
+TEST(LintHandover, OverflowChainStillThrowsModelError) {
+  const std::string path =
+      std::string(RTLB_SOURCE_DIR) + "/examples/instances/bad/overflow_chain.rtlb";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  ProblemInstance inst = parse_instance(in);
+  EXPECT_FALSE(
+      run_lint_gate(*inst.app, nullptr, LintLevel::kReport).derived.windows.has_value());
+  for (LintLevel level : {LintLevel::kOff, LintLevel::kReport}) {
+    AnalysisOptions options;
+    options.lint_level = level;  // kReport records E310 but does not refuse
+    const auto expect_window_overflow = [](const auto& run) {
+      try {
+        run();
+        ADD_FAILURE() << "no ModelError";
+      } catch (const LintGateError& e) {
+        ADD_FAILURE() << "refused by the gate instead: " << e.what();
+      } catch (const ModelError& e) {
+        EXPECT_NE(std::string(e.what()).find("EST/LCT arithmetic overflows Time"),
+                  std::string::npos)
+            << e.what();
+      }
+    };
+    expect_window_overflow([&] { run_pipeline(*inst.app, options); });
+    AnalysisSession session(*inst.app, options);
+    expect_window_overflow([&] { session.analyze(); });
   }
 }
 
