@@ -1,6 +1,7 @@
 #include "src/common/json.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -9,7 +10,7 @@
 
 namespace rtlb {
 
-Json& Json::set(std::string key, Json value) {
+Json& Json::set(std::string key, Json value) & {
   RTLB_CHECK(is_object(), "Json::set on a non-object");
   Members& members = std::get<Members>(value_);
   for (auto& [existing_key, existing_value] : members) {
@@ -22,6 +23,11 @@ Json& Json::set(std::string key, Json value) {
   return *this;
 }
 
+Json Json::set(std::string key, Json value) && {
+  set(std::move(key), std::move(value));  // *this is an lvalue here
+  return std::move(*this);
+}
+
 Json& Json::push(Json value) {
   RTLB_CHECK(is_array(), "Json::push on a non-array");
   std::get<Elements>(value_).push_back(std::move(value));
@@ -29,38 +35,54 @@ Json& Json::push(Json value) {
 }
 
 void Json::escape_to(std::string& out, const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (char c : s) {
+  // Characters that need no escape are copied a whole run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
+  out.append(s, run);
   out += '"';
 }
 
+namespace {
+
+/// Pretty-printing line break: a newline plus `width` spaces.
+void newline_to(std::string& out, std::size_t width) {
+  out += '\n';
+  out.append(width, ' ');
+}
+
+}  // namespace
+
 void Json::dump_to(std::string& out, int indent, int depth) const {
-  const std::string pad = indent > 0 ? "\n" + std::string(indent * (depth + 1), ' ') : "";
-  const std::string pad_close = indent > 0 ? "\n" + std::string(indent * depth, ' ') : "";
-  const char* sep = indent > 0 ? ": " : ":";
+  const bool pretty = indent > 0;
+  const std::size_t inner = pretty ? static_cast<std::size_t>(indent) * (depth + 1) : 0;
+  const std::size_t outer = pretty ? static_cast<std::size_t>(indent) * depth : 0;
 
   if (std::holds_alternative<std::nullptr_t>(value_)) {
     out += "null";
   } else if (const bool* b = std::get_if<bool>(&value_)) {
     out += *b ? "true" : "false";
   } else if (const std::int64_t* n = std::get_if<std::int64_t>(&value_)) {
-    out += std::to_string(*n);
+    char buf[24];
+    const auto result = std::to_chars(buf, buf + sizeof buf, *n);
+    out.append(buf, result.ptr);
   } else if (const double* d = std::get_if<double>(&value_)) {
     if (std::isfinite(*d)) {
       char buf[32];
@@ -81,12 +103,12 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
     for (const auto& [key, value] : *m) {
       if (!first) out += ',';
       first = false;
-      out += pad;
+      if (pretty) newline_to(out, inner);
       escape_to(out, key);
-      out += sep;
+      out += pretty ? ": " : ":";
       value.dump_to(out, indent, depth + 1);
     }
-    out += pad_close;
+    if (pretty) newline_to(out, outer);
     out += '}';
   } else if (const Elements* e = std::get_if<Elements>(&value_)) {
     if (e->empty()) {
@@ -98,10 +120,10 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
     for (const Json& value : *e) {
       if (!first) out += ',';
       first = false;
-      out += pad;
+      if (pretty) newline_to(out, inner);
       value.dump_to(out, indent, depth + 1);
     }
-    out += pad_close;
+    if (pretty) newline_to(out, outer);
     out += ']';
   }
 }
@@ -165,12 +187,17 @@ const std::pair<std::string, Json>& Json::member(std::size_t i) const {
   return m[i];
 }
 
-namespace {
-
 // Recursive-descent parser over a string_view. Depth is counted per
 // object/array and capped so hostile "[[[[..." input fails with a
 // JsonParseError before the call stack does.
-class Parser {
+//
+// A container's children are collected on a stack shared by the whole
+// parse (one for array elements, one for object members); when the
+// container closes, its children are moved into a vector allocated once at
+// the exact count, and the stack shrinks back. The stacks keep their
+// capacity, so a document costs one allocation per container instead of a
+// regrowth series per container.
+class Json::Parser {
  public:
   Parser(std::string_view text, const JsonParseOptions& options)
       : text_(text), max_depth_(options.max_depth) {}
@@ -238,25 +265,43 @@ class Parser {
       fail("nesting depth exceeds limit of " + std::to_string(max_depth_));
     }
     expect('{');
-    Json obj = Json::object();
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return obj;
+      return Json::object();
     }
+    const std::size_t base = members_.size();
     while (true) {
       skip_ws();
       if (peek() != '"') fail("expected object key string");
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj.set(std::move(key), parse_value(depth + 1));
+      Json value = parse_value(depth + 1);
+      add_member(base, std::move(key), std::move(value));
       skip_ws();
       const char c = peek();
       ++pos_;
-      if (c == '}') return obj;
+      if (c == '}') break;
       if (c != ',') fail("expected ',' or '}' in object");
     }
+    const auto first = members_.begin() + static_cast<std::ptrdiff_t>(base);
+    Json obj;
+    obj.value_ = Members(std::make_move_iterator(first), std::make_move_iterator(members_.end()));
+    members_.erase(first, members_.end());
+    return obj;
+  }
+
+  /// Json::set's upsert over the open object's members: a repeated key
+  /// keeps its first position and takes the last value.
+  void add_member(std::size_t base, std::string key, Json value) {
+    for (std::size_t k = base; k < members_.size(); ++k) {
+      if (members_[k].first == key) {
+        members_[k].second = std::move(value);
+        return;
+      }
+    }
+    members_.emplace_back(std::move(key), std::move(value));
   }
 
   Json parse_array(std::size_t depth) {
@@ -264,34 +309,46 @@ class Parser {
       fail("nesting depth exceeds limit of " + std::to_string(max_depth_));
     }
     expect('[');
-    Json arr = Json::array();
     skip_ws();
     if (peek() == ']') {
       ++pos_;
-      return arr;
+      return Json::array();
     }
+    const std::size_t base = elements_.size();
     while (true) {
-      arr.push(parse_value(depth + 1));
+      Json value = parse_value(depth + 1);
+      elements_.push_back(std::move(value));
       skip_ws();
       const char c = peek();
       ++pos_;
-      if (c == ']') return arr;
+      if (c == ']') break;
       if (c != ',') fail("expected ',' or ']' in array");
     }
+    const auto first = elements_.begin() + static_cast<std::ptrdiff_t>(base);
+    Json arr;
+    arr.value_ = Elements(std::make_move_iterator(first), std::make_move_iterator(elements_.end()));
+    elements_.erase(first, elements_.end());
+    return arr;
   }
 
   std::string parse_string() {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run of plain characters up to the next quote, backslash
+      // or control character in one append.
+      std::size_t end = pos_;
+      while (end < text_.size()) {
+        const auto u = static_cast<unsigned char>(text_[end]);
+        if (u == '"' || u == '\\' || u < 0x20) break;
+        ++end;
+      }
+      out.append(text_, pos_, end - pos_);
+      pos_ = end;
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
       if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
@@ -393,16 +450,13 @@ class Parser {
       }
       while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
     }
-    const std::string token(text_.substr(start, pos_ - start));
     if (integral) {
-      errno = 0;
-      char* end = nullptr;
-      const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end != nullptr && *end == '\0') {
-        return Json(static_cast<std::int64_t>(v));
-      }
+      std::int64_t v = 0;
+      const auto [end, ec] = std::from_chars(text_.data() + start, text_.data() + pos_, v);
+      if (ec == std::errc() && end == text_.data() + pos_) return Json(v);
       // Out of int64 range: fall through to double like most parsers do.
     }
+    const std::string token(text_.substr(start, pos_ - start));
     errno = 0;
     char* end = nullptr;
     const double d = std::strtod(token.c_str(), &end);
@@ -413,9 +467,9 @@ class Parser {
   std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t max_depth_;
+  std::vector<Json> elements_;                         // open arrays' children
+  std::vector<std::pair<std::string, Json>> members_;  // open objects' children
 };
-
-}  // namespace
 
 Json Json::parse(std::string_view text, const JsonParseOptions& options) {
   return Parser(text, options).run();

@@ -46,19 +46,34 @@ class Json {
   Json(const char* s) : value_(std::string(s)) {}
   Json(std::string s) : value_(std::move(s)) {}
 
-  static Json object() {
+  /// Empty object / array. `capacity` is a size hint: a builder that knows
+  /// how many members or elements it will add passes the count, so the
+  /// container is allocated once instead of regrowing 1 -> 2 -> 4 -> ...
+  static Json object(std::size_t capacity = 0) {
     Json j;
-    j.value_ = Members{};
+    Members m;
+    m.reserve(capacity);
+    j.value_ = std::move(m);
     return j;
   }
-  static Json array() {
+  static Json array(std::size_t capacity = 0) {
     Json j;
-    j.value_ = Elements{};
+    Elements e;
+    e.reserve(capacity);
+    j.value_ = std::move(e);
     return j;
   }
 
-  /// Object field; keeps insertion order. Only valid on objects.
-  Json& set(std::string key, Json value);
+  /// Object field; keeps insertion order. Setting an existing key replaces
+  /// its value in place (an object has one value per key). Only valid on
+  /// objects.
+  ///
+  /// The lvalue form returns *this for chaining on a named builder. The
+  /// rvalue form returns the object BY VALUE, moved, so a chain on a
+  /// temporary -- `arr.push(Json::object().set("a", 1).set("b", 2))` --
+  /// moves the object along instead of deep-copying it at every step.
+  Json& set(std::string key, Json value) &;
+  Json set(std::string key, Json value) &&;
 
   /// Array element. Only valid on arrays.
   Json& push(Json value);
@@ -101,6 +116,7 @@ class Json {
  private:
   using Members = std::vector<std::pair<std::string, Json>>;
   using Elements = std::vector<Json>;
+  class Parser;  // json.cpp; builds containers at their exact size
   void dump_to(std::string& out, int indent, int depth) const;
   static void escape_to(std::string& out, const std::string& s);
 

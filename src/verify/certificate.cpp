@@ -8,19 +8,19 @@ namespace rtlb {
 namespace {
 
 Json task_list_json(const std::vector<TaskId>& tasks) {
-  Json arr = Json::array();
+  Json arr = Json::array(tasks.size());
   for (TaskId t : tasks) arr.push(static_cast<std::int64_t>(t));
   return arr;
 }
 
 Json witness_json(const IntervalWitness& w) {
-  Json obj = Json::object();
+  Json obj = Json::object(4);
   obj.set("t1", w.t1);
   obj.set("t2", w.t2);
   obj.set("demand", w.demand);
-  Json terms = Json::array();
+  Json terms = Json::array(w.terms.size());
   for (const PsiTerm& term : w.terms) {
-    terms.push(Json::object()
+    terms.push(Json::object(2)
                    .set("task", static_cast<std::int64_t>(term.task))
                    .set("psi", term.psi));
   }
@@ -111,15 +111,17 @@ IntervalWitness parse_witness(const Json& obj, const std::string& where) {
 
 }  // namespace
 
+// Every container is created at its final size (Json::object(n) /
+// Json::array(n)), so building the document allocates each one once.
 Json certificate_json(const Certificate& cert) {
-  Json doc = Json::object();
+  Json doc = Json::object(7 + (cert.has_joint ? 1 : 0) + (cert.dedicated_cost ? 1 : 0));
   doc.set("version", static_cast<std::int64_t>(cert.version));
   doc.set("model", cert.dedicated ? "dedicated" : "shared");
   doc.set("num_tasks", static_cast<std::int64_t>(cert.num_tasks));
 
-  Json windows = Json::array();
+  Json windows = Json::array(cert.windows.size());
   for (const WindowFact& w : cert.windows) {
-    windows.push(Json::object()
+    windows.push(Json::object(5)
                      .set("task", static_cast<std::int64_t>(w.task))
                      .set("est", w.est)
                      .set("lct", w.lct)
@@ -128,26 +130,26 @@ Json certificate_json(const Certificate& cert) {
   }
   doc.set("windows", std::move(windows));
 
-  Json partitions = Json::array();
+  Json partitions = Json::array(cert.partitions.size());
   for (const PartitionCert& p : cert.partitions) {
-    Json blocks = Json::array();
+    Json blocks = Json::array(p.blocks.size());
     for (const std::vector<TaskId>& b : p.blocks) blocks.push(task_list_json(b));
-    Json separations = Json::array();
+    Json separations = Json::array(p.separations.size());
     for (const SeparationFact& s : p.separations) {
-      separations.push(Json::object()
+      separations.push(Json::object(2)
                            .set("earlier_finish", s.earlier_finish)
                            .set("later_start", s.later_start));
     }
-    partitions.push(Json::object()
+    partitions.push(Json::object(3)
                         .set("resource", static_cast<std::int64_t>(p.resource))
                         .set("blocks", std::move(blocks))
                         .set("separations", std::move(separations)));
   }
   doc.set("partitions", std::move(partitions));
 
-  Json bounds = Json::array();
+  Json bounds = Json::array(cert.bounds.size());
   for (const BoundCert& b : cert.bounds) {
-    Json obj = Json::object();
+    Json obj = Json::object(b.witness ? 3 : 2);
     obj.set("resource", static_cast<std::int64_t>(b.resource));
     obj.set("bound", b.bound);
     if (b.witness) obj.set("witness", witness_json(*b.witness));
@@ -156,9 +158,9 @@ Json certificate_json(const Certificate& cert) {
   doc.set("bounds", std::move(bounds));
 
   if (cert.has_joint) {
-    Json joint = Json::array();
+    Json joint = Json::array(cert.joint.size());
     for (const JointCert& j : cert.joint) {
-      Json obj = Json::object();
+      Json obj = Json::object(j.witness ? 4 : 3);
       obj.set("a", static_cast<std::int64_t>(j.a));
       obj.set("b", static_cast<std::int64_t>(j.b));
       obj.set("bound", j.bound);
@@ -168,11 +170,11 @@ Json certificate_json(const Certificate& cert) {
     doc.set("joint", std::move(joint));
   }
 
-  Json shared = Json::object();
+  Json shared = Json::object(2);
   shared.set("total", cert.shared_cost.total);
-  Json terms = Json::array();
+  Json terms = Json::array(cert.shared_cost.terms.size());
   for (const SharedCostTerm& t : cert.shared_cost.terms) {
-    terms.push(Json::object()
+    terms.push(Json::object(3)
                    .set("resource", static_cast<std::int64_t>(t.resource))
                    .set("units", t.units)
                    .set("unit_cost", t.unit_cost));
@@ -182,7 +184,10 @@ Json certificate_json(const Certificate& cert) {
 
   if (cert.dedicated_cost) {
     const DedicatedCostCert& d = *cert.dedicated_cost;
-    Json obj = Json::object();
+    const std::size_t details = (d.detail_task != kInvalidTask ? 1 : 0) +
+                                (d.detail_resource != kInvalidResource ? 1 : 0) +
+                                (d.detail_resource_b != kInvalidResource ? 1 : 0);
+    Json obj = Json::object(d.feasible ? 6 : 2 + details);
     obj.set("feasible", d.feasible);
     if (!d.feasible) {
       obj.set("infeasible_reason", d.infeasible_reason);
@@ -197,11 +202,11 @@ Json certificate_json(const Certificate& cert) {
       }
     } else {
       obj.set("total", d.total);
-      Json counts = Json::array();
+      Json counts = Json::array(d.node_counts.size());
       for (std::int64_t x : d.node_counts) counts.push(x);
       obj.set("node_counts", std::move(counts));
       obj.set("relaxation", d.relaxation);
-      Json dual = Json::array();
+      Json dual = Json::array(d.dual.size());
       for (double y : d.dual) dual.push(y);
       obj.set("dual", std::move(dual));
       obj.set("joint_rows", d.joint_rows);

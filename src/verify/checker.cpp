@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <optional>
 #include <span>
 
 // NOTE: no src/core includes, by design (see checker.hpp). Everything the
@@ -50,6 +52,7 @@ class Checker {
 
   CheckReport run() {
     if (check_meta()) {
+      build_indexes();
       check_windows();
       check_partitions();
       check_bounds();
@@ -72,13 +75,38 @@ class Checker {
            (app_.task(i).name.empty() ? "" : " (" + app_.task(i).name + ")");
   }
 
+  /// Total over every id: a certificate may name a resource the catalog
+  /// does not have, and the verdict must still be a report, not a throw.
   std::string res_name(ResourceId r) const {
-    return "resource " + std::to_string(r) + " (" + app_.catalog().name(r) + ")";
+    const std::string name =
+        r < app_.catalog().size() ? app_.catalog().name(r) : "not in the catalog";
+    return "resource " + std::to_string(r) + " (" + name + ")";
+  }
+
+  // ---- per-run indexes -----------------------------------------------------
+
+  /// RES and ST_r, built once per run: res_ is RES ascending and st_[k] is
+  /// ST_{res_[k]} (ascending task ids). adj_ holds the edge messages
+  /// aligned with the adjacency lists, so emr/lms read m_{ji} without a
+  /// lookup.
+  void build_indexes() {
+    res_ = app_.resource_set();
+    st_.clear();
+    st_.reserve(res_.size());
+    for (ResourceId r : res_) st_.push_back(app_.tasks_using(r));
+    adj_ = adjacent_messages(app_);
+  }
+
+  /// ST_r for r in RES; empty for any other id (no task uses it).
+  std::span<const TaskId> tasks_using(ResourceId r) const {
+    const auto it = std::lower_bound(res_.begin(), res_.end(), r);
+    if (it == res_.end() || *it != r) return {};
+    return st_[static_cast<std::size_t>(it - res_.begin())];
   }
 
   // ---- Definitions 1/2, re-derived from the model ------------------------
 
-  bool merge_ok(std::span<const TaskId> tasks) const {
+  bool merge_ok(std::span<const TaskId> tasks) {
     if (tasks.size() <= 1 && !cert_.dedicated) return true;
     if (tasks.empty()) return true;
     const ResourceId proc = app_.task(tasks[0]).proc;
@@ -86,26 +114,48 @@ class Checker {
       if (app_.task(t).proc != proc) return false;
     }
     if (!cert_.dedicated) return true;
-    std::vector<ResourceId> required;
+    required_.clear();
     for (TaskId t : tasks) {
       const auto& res = app_.task(t).resources;
-      required.insert(required.end(), res.begin(), res.end());
+      required_.insert(required_.end(), res.begin(), res.end());
     }
-    std::sort(required.begin(), required.end());
-    required.erase(std::unique(required.begin(), required.end()), required.end());
-    return platform_->some_node_hosts(proc, required);
+    std::sort(required_.begin(), required_.end());
+    required_.erase(std::unique(required_.begin(), required_.end()), required_.end());
+    return platform_->some_node_hosts(proc, required_);
+  }
+
+  /// The mergeable-prefix oracle of one window check. Every candidate was
+  /// found individually mergeable with i, so it shares i's processor type,
+  /// and under the shared model a prefix is always mergeable. Under the
+  /// dedicated model the prefix's resource union grows by one task per
+  /// step and is judged with one some_node_hosts() call.
+  void prefix_reset(TaskId i) {
+    prefix_required_ = app_.task(i).resources;  // sorted, unique
+  }
+  bool prefix_add(TaskId i, TaskId j) {
+    if (!cert_.dedicated) return true;
+    for (ResourceId r : app_.task(j).resources) {
+      const auto it = std::lower_bound(prefix_required_.begin(), prefix_required_.end(), r);
+      if (it == prefix_required_.end() || *it != r) prefix_required_.insert(it, r);
+    }
+    return platform_->some_node_hosts(app_.task(i).proc, prefix_required_);
   }
 
   // ---- Section 4 folds over the CERTIFICATE windows ----------------------
 
-  /// ect(A): earliest completion of A run sequentially, each task starting
-  /// no earlier than its (certified) EST.
-  I128 ect(std::span<const TaskId> tasks) const {
-    std::vector<TaskId> order(tasks.begin(), tasks.end());
-    std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-      if (est_[a] != est_[b]) return est_[a] < est_[b];
-      return a < b;
-    });
+  bool est_before(TaskId a, TaskId b) const {
+    if (est_[a] != est_[b]) return est_[a] < est_[b];
+    return a < b;
+  }
+  bool lct_before(TaskId a, TaskId b) const {
+    if (lct_[a] != lct_[b]) return lct_[a] > lct_[b];
+    return a < b;
+  }
+
+  /// ect(A) for A = `order`, already sorted by est_before: earliest
+  /// completion of A run sequentially, each task starting no earlier than
+  /// its (certified) EST.
+  I128 ect_sorted(std::span<const TaskId> order) const {
     I128 completion = static_cast<I128>(est_[order[0]]) + app_.task(order[0]).comp;
     for (std::size_t k = 1; k < order.size(); ++k) {
       const I128 start = std::max<I128>(completion, est_[order[k]]);
@@ -114,14 +164,9 @@ class Checker {
     return completion;
   }
 
-  /// lst(A): latest start of A run sequentially, each completing by its
-  /// (certified) LCT.
-  I128 lst(std::span<const TaskId> tasks) const {
-    std::vector<TaskId> order(tasks.begin(), tasks.end());
-    std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-      if (lct_[a] != lct_[b]) return lct_[a] > lct_[b];
-      return a < b;
-    });
+  /// lst(A) for A = `order`, already sorted by lct_before: latest start of
+  /// A run sequentially, each completing by its (certified) LCT.
+  I128 lst_sorted(std::span<const TaskId> order) const {
     I128 start = static_cast<I128>(lct_[order[0]]) - app_.task(order[0]).comp;
     for (std::size_t k = 1; k < order.size(); ++k) {
       const I128 completion = std::min<I128>(start, lct_[order[k]]);
@@ -130,12 +175,23 @@ class Checker {
     return start;
   }
 
-  I128 emr(TaskId j, TaskId i) const {  // earliest message receipt j -> i
-    return static_cast<I128>(est_[j]) + app_.task(j).comp + app_.message(j, i);
+  I128 ect(std::span<const TaskId> tasks) {
+    order_.assign(tasks.begin(), tasks.end());
+    std::sort(order_.begin(), order_.end(), [&](TaskId a, TaskId b) { return est_before(a, b); });
+    return ect_sorted(order_);
   }
 
-  I128 lms(TaskId i, TaskId j) const {  // latest message send i -> j
-    return static_cast<I128>(lct_[j]) - app_.task(j).comp - app_.message(i, j);
+  I128 lst(std::span<const TaskId> tasks) {
+    order_.assign(tasks.begin(), tasks.end());
+    std::sort(order_.begin(), order_.end(), [&](TaskId a, TaskId b) { return lct_before(a, b); });
+    return lst_sorted(order_);
+  }
+
+  /// Insert `t` into `prefix_order_` at its sorted position.
+  template <typename Before>
+  void insert_sorted(TaskId t, Before before) {
+    prefix_order_.insert(std::upper_bound(prefix_order_.begin(), prefix_order_.end(), t, before),
+                         t);
   }
 
   // ---- Theorems 3/4 over the certificate windows -------------------------
@@ -221,41 +277,40 @@ class Checker {
     }
 
     // Candidate order of Figure 3: individually mergeable predecessors by
-    // decreasing emr, ties by id.
-    std::vector<TaskId> mp;
+    // decreasing emr (earliest message receipt j -> i), ties by id.
+    const std::span<const Time> msg = adj_.in(i);
+    cand_.clear();
     I128 e0 = app_.task(i).release;
-    for (TaskId j : pred) {
+    for (std::size_t k = 0; k < pred.size(); ++k) {
+      const TaskId j = pred[k];
+      const I128 emr = static_cast<I128>(est_[j]) + app_.task(j).comp + msg[k];
       const TaskId pair[] = {i, j};
       if (merge_ok(pair)) {
-        mp.push_back(j);
+        cand_.push_back({j, emr});
       } else {
-        e0 = std::max(e0, emr(j, i));
+        e0 = std::max(e0, emr);
       }
     }
-    std::sort(mp.begin(), mp.end(), [&](TaskId a, TaskId b) {
-      const I128 ea = emr(a, i);
-      const I128 eb = emr(b, i);
-      if (ea != eb) return ea > eb;
-      return a < b;
+    std::sort(cand_.begin(), cand_.end(), [](const Candidate& a, const Candidate& b) {
+      if (a.value != b.value) return a.value > b.value;
+      return a.task < b.task;
     });
 
     // Eq. 4.5 over every mergeable prefix P_k (mergeability is subset-closed
-    // for both oracles, so prefixes past the first non-mergeable one are out).
-    bool found = false;
-    I128 best = 0;
-    std::vector<TaskId> prefix{i};  // includes i for the oracle
-    for (std::size_t k = 0; k <= mp.size(); ++k) {
-      if (k > 0) {
-        prefix.push_back(mp[k - 1]);
-        if (!merge_ok(prefix)) break;
-      }
-      I128 value = e0;
-      for (std::size_t m = k; m < mp.size(); ++m) value = std::max(value, emr(mp[m], i));
-      if (k > 0) value = std::max(value, ect(std::span(prefix).subspan(1)));
-      if (!found || value < best) {
-        best = value;
-        found = true;
-      }
+    // for both oracles, so prefixes past the first non-mergeable one are
+    // out). The candidates left out of P_k are cand_[k..]; sorted by
+    // decreasing emr, their maximum is cand_[k]'s. ect(P_k) is refolded over
+    // P_k kept in EST order.
+    I128 best = cand_.empty() ? e0 : std::max(e0, cand_[0].value);
+    prefix_reset(i);
+    prefix_order_.clear();
+    for (std::size_t k = 1; k <= cand_.size(); ++k) {
+      const TaskId j = cand_[k - 1].task;
+      if (!prefix_add(i, j)) break;
+      insert_sorted(j, [&](TaskId a, TaskId b) { return est_before(a, b); });
+      I128 value = std::max(e0, ect_sorted(prefix_order_));
+      if (k < cand_.size()) value = std::max(value, cand_[k].value);
+      best = std::min(best, value);
     }
     if (claimed != best) {
       fail("windows", "T1.min-prefix", task_name(i),
@@ -266,27 +321,19 @@ class Checker {
     // The recorded M_i must itself be a mergeable predecessor subset whose
     // Eq. 4.5 value attains E_i.
     const std::vector<TaskId>& merged = cert_.windows[i].merged_pred;
-    std::vector<TaskId> sorted_pred(pred.begin(), pred.end());
-    std::sort(sorted_pred.begin(), sorted_pred.end());
-    std::vector<TaskId> sorted_merged(merged.begin(), merged.end());
-    std::sort(sorted_merged.begin(), sorted_merged.end());
-    if (std::adjacent_find(sorted_merged.begin(), sorted_merged.end()) != sorted_merged.end() ||
-        !std::includes(sorted_pred.begin(), sorted_pred.end(), sorted_merged.begin(),
-                       sorted_merged.end())) {
+    if (!valid_merge_set(pred, merged)) {
       fail("windows", "T1.merge-set", task_name(i),
            "M is not a duplicate-free subset of the predecessors");
       return;
     }
-    std::vector<TaskId> with_i{i};
-    with_i.insert(with_i.end(), merged.begin(), merged.end());
-    if (!merge_ok(with_i)) {
+    if (!merge_ok_with(i, merged)) {
       fail("windows", "T1.merge-set", task_name(i), "M u {i} is not mergeable (Definition 1/2)");
       return;
     }
     I128 attained = e0;
-    for (TaskId j : mp) {
-      if (!std::binary_search(sorted_merged.begin(), sorted_merged.end(), j)) {
-        attained = std::max(attained, emr(j, i));
+    for (const Candidate& c : cand_) {
+      if (!std::binary_search(sorted_merged_.begin(), sorted_merged_.end(), c.task)) {
+        attained = std::max(attained, c.value);
       }
     }
     if (!merged.empty()) attained = std::max(attained, ect(merged));
@@ -315,38 +362,36 @@ class Checker {
       return;
     }
 
-    std::vector<TaskId> ms;
+    // Candidates by increasing lms (latest message send i -> j), ties by id.
+    const std::span<const Time> msg = adj_.out(i);
+    cand_.clear();
     I128 l0 = app_.task(i).deadline;
-    for (TaskId j : succ) {
+    for (std::size_t k = 0; k < succ.size(); ++k) {
+      const TaskId j = succ[k];
+      const I128 lms = static_cast<I128>(lct_[j]) - app_.task(j).comp - msg[k];
       const TaskId pair[] = {i, j};
       if (merge_ok(pair)) {
-        ms.push_back(j);
+        cand_.push_back({j, lms});
       } else {
-        l0 = std::min(l0, lms(i, j));
+        l0 = std::min(l0, lms);
       }
     }
-    std::sort(ms.begin(), ms.end(), [&](TaskId a, TaskId b) {
-      const I128 la = lms(i, a);
-      const I128 lb = lms(i, b);
-      if (la != lb) return la < lb;
-      return a < b;
+    std::sort(cand_.begin(), cand_.end(), [](const Candidate& a, const Candidate& b) {
+      if (a.value != b.value) return a.value < b.value;
+      return a.task < b.task;
     });
 
-    bool found = false;
-    I128 best = 0;
-    std::vector<TaskId> prefix{i};
-    for (std::size_t k = 0; k <= ms.size(); ++k) {
-      if (k > 0) {
-        prefix.push_back(ms[k - 1]);
-        if (!merge_ok(prefix)) break;
-      }
-      I128 value = l0;
-      for (std::size_t m = k; m < ms.size(); ++m) value = std::min(value, lms(i, ms[m]));
-      if (k > 0) value = std::min(value, lst(std::span(prefix).subspan(1)));
-      if (!found || value > best) {
-        best = value;
-        found = true;
-      }
+    // The minimum lms left out of P_k is cand_[k]'s (increasing order).
+    I128 best = cand_.empty() ? l0 : std::min(l0, cand_[0].value);
+    prefix_reset(i);
+    prefix_order_.clear();
+    for (std::size_t k = 1; k <= cand_.size(); ++k) {
+      const TaskId j = cand_[k - 1].task;
+      if (!prefix_add(i, j)) break;
+      insert_sorted(j, [&](TaskId a, TaskId b) { return lct_before(a, b); });
+      I128 value = std::min(l0, lst_sorted(prefix_order_));
+      if (k < cand_.size()) value = std::min(value, cand_[k].value);
+      best = std::max(best, value);
     }
     if (claimed != best) {
       fail("windows", "T2.min-prefix", task_name(i),
@@ -355,27 +400,19 @@ class Checker {
     }
 
     const std::vector<TaskId>& merged = cert_.windows[i].merged_succ;
-    std::vector<TaskId> sorted_succ(succ.begin(), succ.end());
-    std::sort(sorted_succ.begin(), sorted_succ.end());
-    std::vector<TaskId> sorted_merged(merged.begin(), merged.end());
-    std::sort(sorted_merged.begin(), sorted_merged.end());
-    if (std::adjacent_find(sorted_merged.begin(), sorted_merged.end()) != sorted_merged.end() ||
-        !std::includes(sorted_succ.begin(), sorted_succ.end(), sorted_merged.begin(),
-                       sorted_merged.end())) {
+    if (!valid_merge_set(succ, merged)) {
       fail("windows", "T2.merge-set", task_name(i),
            "G is not a duplicate-free subset of the successors");
       return;
     }
-    std::vector<TaskId> with_i{i};
-    with_i.insert(with_i.end(), merged.begin(), merged.end());
-    if (!merge_ok(with_i)) {
+    if (!merge_ok_with(i, merged)) {
       fail("windows", "T2.merge-set", task_name(i), "G u {i} is not mergeable (Definition 1/2)");
       return;
     }
     I128 attained = l0;
-    for (TaskId j : ms) {
-      if (!std::binary_search(sorted_merged.begin(), sorted_merged.end(), j)) {
-        attained = std::min(attained, lms(i, j));
+    for (const Candidate& c : cand_) {
+      if (!std::binary_search(sorted_merged_.begin(), sorted_merged_.end(), c.task)) {
+        attained = std::min(attained, c.value);
       }
     }
     if (!merged.empty()) attained = std::min(attained, lst(merged));
@@ -386,6 +423,27 @@ class Checker {
     }
   }
 
+  /// Is `merged` a duplicate-free subset of `adjacent`? Leaves the sorted
+  /// merge set in sorted_merged_ for the attained-value pass.
+  bool valid_merge_set(const std::vector<std::uint32_t>& adjacent,
+                       const std::vector<TaskId>& merged) {
+    sorted_adj_.assign(adjacent.begin(), adjacent.end());
+    std::sort(sorted_adj_.begin(), sorted_adj_.end());
+    sorted_merged_.assign(merged.begin(), merged.end());
+    std::sort(sorted_merged_.begin(), sorted_merged_.end());
+    return std::adjacent_find(sorted_merged_.begin(), sorted_merged_.end()) ==
+               sorted_merged_.end() &&
+           std::includes(sorted_adj_.begin(), sorted_adj_.end(), sorted_merged_.begin(),
+                         sorted_merged_.end());
+  }
+
+  /// merge_ok({i} u merged).
+  bool merge_ok_with(TaskId i, const std::vector<TaskId>& merged) {
+    with_i_.assign(1, i);
+    with_i_.insert(with_i_.end(), merged.begin(), merged.end());
+    return merge_ok(with_i_);
+  }
+
   void check_windows() {
     for (TaskId i = 0; i < app_.num_tasks(); ++i) {
       check_est(i);
@@ -394,40 +452,39 @@ class Checker {
   }
 
   void check_partitions() {
-    const std::vector<ResourceId> res = app_.resource_set();
-    if (cert_.partitions.size() != res.size()) {
+    if (cert_.partitions.size() != res_.size()) {
       fail("partition", "T5.resources", "certificate",
-           "expected one partition per analyzed resource (" + std::to_string(res.size()) +
+           "expected one partition per analyzed resource (" + std::to_string(res_.size()) +
                "), got " + std::to_string(cert_.partitions.size()));
       return;
     }
-    for (std::size_t k = 0; k < res.size(); ++k) {
+    for (std::size_t k = 0; k < res_.size(); ++k) {
       const PartitionCert& p = cert_.partitions[k];
-      if (p.resource != res[k]) {
+      if (p.resource != res_[k]) {
         fail("partition", "T5.resources", "partitions[" + std::to_string(k) + "]",
-             "resources must appear in RES order; expected " + res_name(res[k]));
+             "resources must appear in RES order; expected " + res_name(res_[k]));
         continue;
       }
 
       // Conditions (i)+(ii) of Section 5: the blocks cover ST_r exactly,
       // each task once.
-      std::vector<TaskId> st = app_.tasks_using(p.resource);
-      std::vector<TaskId> listed;
+      const std::vector<TaskId>& st = st_[k];
+      listed_.clear();
       bool empty_block = false;
       for (const std::vector<TaskId>& b : p.blocks) {
         if (b.empty()) empty_block = true;
-        listed.insert(listed.end(), b.begin(), b.end());
+        listed_.insert(listed_.end(), b.begin(), b.end());
       }
       if (empty_block) {
         fail("partition", "T5.cover", res_name(p.resource), "partition contains an empty block");
       }
-      std::sort(listed.begin(), listed.end());
-      if (std::adjacent_find(listed.begin(), listed.end()) != listed.end()) {
+      std::sort(listed_.begin(), listed_.end());
+      if (std::adjacent_find(listed_.begin(), listed_.end()) != listed_.end()) {
         fail("partition", "T5.disjoint", res_name(p.resource),
              "a task appears in more than one block");
         continue;
       }
-      if (listed != st) {
+      if (!std::equal(listed_.begin(), listed_.end(), st.begin(), st.end())) {
         fail("partition", "T5.cover", res_name(p.resource),
              "the blocks do not cover ST_r exactly");
         continue;
@@ -451,17 +508,19 @@ class Checker {
           have_start = true;
         }
         const SeparationFact& s = p.separations[b];
-        const std::string subject = res_name(p.resource) + " boundary " + std::to_string(b);
+        const auto subject = [&] {
+          return res_name(p.resource) + " boundary " + std::to_string(b);
+        };
         if (!have_finish || !have_start) continue;  // empty block already failed
         if (s.earlier_finish != running_finish || s.later_start != next_start) {
-          fail("partition", "T5.separation-fact", subject,
+          fail("partition", "T5.separation-fact", subject(),
                "recorded (finish " + std::to_string(s.earlier_finish) + ", start " +
                    std::to_string(s.later_start) + ") but the windows give (finish " +
                    i128_str(running_finish) + ", start " + i128_str(next_start) + ")");
           continue;
         }
         if (running_finish > next_start) {
-          fail("partition", "T5.separation", subject,
+          fail("partition", "T5.separation", subject(),
                "blocks are not separated: an earlier task may still run at " +
                    i128_str(running_finish) + " after a later task may start at " +
                    i128_str(next_start));
@@ -472,77 +531,77 @@ class Checker {
 
   /// One witness interval (Eq. 6.3) against a task universe: every Psi term
   /// re-derived from Theorems 3/4, the sum re-added, the ceiling re-taken.
-  /// `universe` is sorted; `stage` is "bound" or "joint".
-  void check_witness(const std::string& stage, const std::string& subject,
-                     std::int64_t claimed_bound, const IntervalWitness& w,
-                     const std::vector<TaskId>& universe) {
+  /// `universe` is sorted; `stage` is "bound" or "joint"; `subject()` names
+  /// the bound and is only called to report a failure.
+  template <typename SubjectFn>
+  void check_witness(const char* stage, const SubjectFn& subject, std::int64_t claimed_bound,
+                     const IntervalWitness& w, std::span<const TaskId> universe) {
     if (w.t1 >= w.t2) {
-      fail(stage, "E6.3.interval", subject,
+      fail(stage, "E6.3.interval", subject(),
            "witness interval [" + std::to_string(w.t1) + ", " + std::to_string(w.t2) +
                ") is empty");
       return;
     }
-    std::vector<TaskId> seen;
+    seen_.clear();
     I128 sum = 0;
     bool terms_ok = true;
     for (const PsiTerm& term : w.terms) {
       if (term.task >= app_.num_tasks() ||
           !std::binary_search(universe.begin(), universe.end(), term.task)) {
-        fail(stage, "E6.3.term-task", subject,
+        fail(stage, "E6.3.term-task", subject(),
              "Psi term for task " + std::to_string(term.task) +
                  " which is outside the bound's task set");
         terms_ok = false;
         continue;
       }
-      seen.push_back(term.task);
+      seen_.push_back(term.task);
       const I128 expect = psi(term.task, w.t1, w.t2);
       if (term.psi != expect) {
         fail(stage, app_.task(term.task).preemptive ? "T3.psi" : "T4.psi",
-             subject + ", " + task_name(term.task),
+             subject() + ", " + task_name(term.task),
              "recorded Psi = " + std::to_string(term.psi) + " but Eq. 6." +
                  (app_.task(term.task).preemptive ? "1" : "2") + " gives " + i128_str(expect));
         terms_ok = false;
       }
       sum += term.psi;
     }
-    std::sort(seen.begin(), seen.end());
-    if (std::adjacent_find(seen.begin(), seen.end()) != seen.end()) {
-      fail(stage, "E6.3.term-dup", subject, "a task contributes two Psi terms");
+    std::sort(seen_.begin(), seen_.end());
+    if (std::adjacent_find(seen_.begin(), seen_.end()) != seen_.end()) {
+      fail(stage, "E6.3.term-dup", subject(), "a task contributes two Psi terms");
       terms_ok = false;
     }
     if (!terms_ok) return;
     if (sum != w.demand) {
-      fail(stage, "E6.3.theta-sum", subject,
+      fail(stage, "E6.3.theta-sum", subject(),
            "witness demand " + std::to_string(w.demand) + " but the Psi terms sum to " +
                i128_str(sum));
       return;
     }
     if (w.demand < 0) {
-      fail(stage, "E6.3.theta-sum", subject, "witness demand is negative");
+      fail(stage, "E6.3.theta-sum", subject(), "witness demand is negative");
       return;
     }
     const I128 width = static_cast<I128>(w.t2) - w.t1;
     const I128 forced = ceil_div_wide(w.demand, width);
     if (forced != claimed_bound) {
-      fail(stage, "E6.3.ceil", subject,
+      fail(stage, "E6.3.ceil", subject(),
            "bound " + std::to_string(claimed_bound) + " but ceil(" +
                std::to_string(w.demand) + " / " + i128_str(width) + ") = " + i128_str(forced));
     }
   }
 
   void check_bounds() {
-    const std::vector<ResourceId> res = app_.resource_set();
-    if (cert_.bounds.size() != res.size()) {
+    if (cert_.bounds.size() != res_.size()) {
       fail("bound", "E6.3.resources", "certificate",
-           "expected one bound per analyzed resource (" + std::to_string(res.size()) +
+           "expected one bound per analyzed resource (" + std::to_string(res_.size()) +
                "), got " + std::to_string(cert_.bounds.size()));
       return;
     }
-    for (std::size_t k = 0; k < res.size(); ++k) {
+    for (std::size_t k = 0; k < res_.size(); ++k) {
       const BoundCert& b = cert_.bounds[k];
-      if (b.resource != res[k]) {
+      if (b.resource != res_[k]) {
         fail("bound", "E6.3.resources", "bounds[" + std::to_string(k) + "]",
-             "resources must appear in RES order; expected " + res_name(res[k]));
+             "resources must appear in RES order; expected " + res_name(res_[k]));
         continue;
       }
       if (b.bound < 0) {
@@ -555,8 +614,8 @@ class Checker {
              "LB = " + std::to_string(b.bound) + " requires a witness interval");
         continue;
       }
-      check_witness("bound", res_name(b.resource), b.bound, *b.witness,
-                    app_.tasks_using(b.resource));
+      check_witness("bound", [&] { return res_name(b.resource); }, b.bound, *b.witness,
+                    st_[k]);
     }
   }
 
@@ -564,28 +623,30 @@ class Checker {
     if (!cert_.has_joint) return;
     for (std::size_t k = 0; k < cert_.joint.size(); ++k) {
       const JointCert& j = cert_.joint[k];
-      const std::string subject =
-          "pair (" + std::to_string(j.a) + ", " + std::to_string(j.b) + ")";
+      const auto subject = [&] {
+        return "pair (" + std::to_string(j.a) + ", " + std::to_string(j.b) + ")";
+      };
       if (j.a >= j.b) {
-        fail("joint", "E6.3.pair", subject, "pair must be ordered a < b");
+        fail("joint", "E6.3.pair", subject(), "pair must be ordered a < b");
         continue;
       }
       if (j.bound <= 0) {
-        fail("joint", "E6.3.negative", subject, "joint bounds are only recorded when positive");
+        fail("joint", "E6.3.negative", subject(), "joint bounds are only recorded when positive");
         continue;
       }
       if (!j.witness) {
-        fail("joint", "E6.3.witness-missing", subject,
+        fail("joint", "E6.3.witness-missing", subject(),
              "LB = " + std::to_string(j.bound) + " requires a witness interval");
         continue;
       }
       // The task universe is ST_a intersect ST_b: only a task using BOTH
       // members occupies a pair-capable node for its whole execution.
-      std::vector<TaskId> both;
-      for (TaskId i = 0; i < app_.num_tasks(); ++i) {
-        if (app_.task(i).uses(j.a) && app_.task(i).uses(j.b)) both.push_back(i);
-      }
-      check_witness("joint", subject, j.bound, *j.witness, both);
+      const std::span<const TaskId> st_a = tasks_using(j.a);
+      const std::span<const TaskId> st_b = tasks_using(j.b);
+      universe_.clear();
+      std::set_intersection(st_a.begin(), st_a.end(), st_b.begin(), st_b.end(),
+                            std::back_inserter(universe_));
+      check_witness("joint", subject, j.bound, *j.witness, universe_);
     }
   }
 
@@ -601,17 +662,26 @@ class Checker {
     for (std::size_t k = 0; k < s.terms.size(); ++k) {
       const SharedCostTerm& t = s.terms[k];
       const BoundCert& b = cert_.bounds[k];
-      const std::string subject = "shared cost term " + std::to_string(k);
+      const auto subject = [&] { return "shared cost term " + std::to_string(k); };
       if (t.resource != b.resource || t.units != b.bound) {
-        fail("cost", "E7.1.term", subject,
+        fail("cost", "E7.1.term", subject(),
              "term (" + res_name(t.resource) + ", " + std::to_string(t.units) +
                  " units) does not restate the certified bound (" + res_name(b.resource) +
                  ", " + std::to_string(b.bound) + ")");
         ok = false;
         continue;
       }
+      // A resource outside the catalog has no CostR (its bound already
+      // failed E6.3.resources); report it rather than look it up.
+      if (t.resource >= app_.catalog().size()) {
+        fail("cost", "E7.1.cost", subject(),
+             "unit cost " + std::to_string(t.unit_cost) + " but " + res_name(t.resource) +
+                 " has no CostR");
+        ok = false;
+        continue;
+      }
       if (t.unit_cost != app_.catalog().cost(t.resource)) {
-        fail("cost", "E7.1.cost", subject,
+        fail("cost", "E7.1.cost", subject(),
              "unit cost " + std::to_string(t.unit_cost) + " but CostR(" + res_name(t.resource) +
                  ") = " + std::to_string(app_.catalog().cost(t.resource)));
         ok = false;
@@ -628,10 +698,24 @@ class Checker {
   // ---- Eq. 7.2 rows, re-derived canonically ------------------------------
 
   struct Row {
+    enum class Kind { kCovering, kPair, kHosting };
     std::vector<I128> coeffs;  // one per node type
     I128 rhs = 0;
-    std::string label;
+    Kind kind = Kind::kCovering;
+    std::uint32_t id = 0;    // covering: resource; pair: a; hosting: task
+    std::uint32_t id_b = 0;  // pair: b
   };
+
+  /// A row's name in failure subjects, built only when one is reported.
+  std::string row_label(const Row& row) const {
+    switch (row.kind) {
+      case Row::Kind::kCovering: return "covering row for " + res_name(row.id);
+      case Row::Kind::kPair:
+        return "pair row (" + std::to_string(row.id) + ", " + std::to_string(row.id_b) + ")";
+      case Row::Kind::kHosting: break;
+    }
+    return "hosting row for " + task_name(row.id);
+  }
 
   /// Rebuild the Section-7 constraint rows in the producer's canonical
   /// order: per-resource covering rows (bounds order, bound > 0), then the
@@ -656,7 +740,8 @@ class Checker {
       }
       if (!any) return std::nullopt;
       row.rhs = b.bound;
-      row.label = "covering row for " + res_name(b.resource);
+      row.kind = Row::Kind::kCovering;
+      row.id = b.resource;
       rows.push_back(std::move(row));
     }
     if (joint_rows) {
@@ -673,7 +758,9 @@ class Checker {
         }
         if (!any) return std::nullopt;
         row.rhs = j.bound;
-        row.label = "pair row (" + std::to_string(j.a) + ", " + std::to_string(j.b) + ")";
+        row.kind = Row::Kind::kPair;
+        row.id = j.a;
+        row.id_b = j.b;
         rows.push_back(std::move(row));
       }
     }
@@ -686,7 +773,8 @@ class Checker {
       row.coeffs.assign(num_types, 0);
       for (std::size_t n : eta) row.coeffs[n] = 1;
       row.rhs = 1;
-      row.label = "hosting row for " + task_name(i);
+      row.kind = Row::Kind::kHosting;
+      row.id = i;
       rows.push_back(std::move(row));
       seen.push_back(std::move(eta));
     }
@@ -800,7 +888,7 @@ class Checker {
       I128 lhs = 0;
       for (std::size_t n = 0; n < num_types; ++n) lhs += row.coeffs[n] * d.node_counts[n];
       if (lhs < row.rhs) {
-        fail("cost", "E7.2.primal-feasible", row.label,
+        fail("cost", "E7.2.primal-feasible", row_label(row),
              "assembly provides " + i128_str(lhs) + " < required " + i128_str(row.rhs));
       }
     }
@@ -826,7 +914,7 @@ class Checker {
     const auto tol = [](double scale) { return 1e-6 * std::max(1.0, std::fabs(scale)); };
     for (std::size_t r = 0; r < rows->size(); ++r) {
       if (!(d.dual[r] >= -1e-9) || !std::isfinite(d.dual[r])) {
-        fail("cost", "E7.2.dual-sign", (*rows)[r].label, "dual multiplier must be >= 0");
+        fail("cost", "E7.2.dual-sign", row_label((*rows)[r]), "dual multiplier must be >= 0");
         return;
       }
     }
@@ -858,11 +946,32 @@ class Checker {
     }
   }
 
+  /// One merge candidate of a window check: the task and its emr (EST) or
+  /// lms (LCT) value.
+  struct Candidate {
+    TaskId task;
+    I128 value;
+  };
+
   const Certificate& cert_;
   const Application& app_;
   const DedicatedPlatform* platform_;
   std::vector<Time> est_, lct_;
   CheckReport report_;
+
+  // Per-run indexes (build_indexes).
+  std::vector<ResourceId> res_;
+  std::vector<std::vector<TaskId>> st_;
+  AdjacentMessages adj_;
+
+  // Scratch reused across facts, so the checks allocate only while these
+  // grow to their high-water marks. The prefix loops of check_est/check_lct
+  // keep their state in prefix_order_ and prefix_required_, apart from the
+  // order_ and required_ that every ect/lst/merge_ok call overwrites.
+  std::vector<Candidate> cand_;
+  std::vector<TaskId> order_, prefix_order_, with_i_, sorted_adj_, sorted_merged_, listed_,
+      universe_, seen_;
+  std::vector<ResourceId> required_, prefix_required_;
 };
 
 }  // namespace

@@ -9,9 +9,11 @@
 // pipeline (parallel scan units, memoized sessions, cache keys) therefore
 // cannot also hide in the checker.
 //
-// Cost: O(certificate size) with small per-fact factors — prefix
-// re-enumeration for a window fact is quadratic in the task's fan-in/out,
-// everything else is linear passes.
+// Cost: per-run indexes (RES, ST_r, adjacency-aligned messages) plus
+// O(certificate size) with small per-fact factors -- a window fact costs
+// O(d log d) for the sort and O(k) per mergeable prefix of size k for the
+// ect/lst refold, everything else is (log-)linear passes over reused
+// scratch. docs/CERTIFICATES.md, "Checker cost", has the per-stage detail.
 #pragma once
 
 #include <string>

@@ -3,6 +3,8 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "src/common/csv.hpp"
 #include "src/common/json.hpp"
@@ -281,6 +283,126 @@ TEST(JsonParse, SetReplacesAnExistingKey) {
   EXPECT_EQ(doc.find("version")->as_int(), 99);
   EXPECT_EQ(doc.size(), 2u);
   EXPECT_EQ(doc.find("n")->as_int(), 2);
+}
+
+TEST(JsonParse, DuplicateKeyKeepsFirstPositionAndLastValue) {
+  const Json doc = Json::parse(R"({"a": 1, "b": 2, "a": 3})");
+  ASSERT_EQ(doc.size(), 2u);
+  EXPECT_EQ(doc.member(0).first, "a");
+  EXPECT_EQ(doc.member(0).second.as_int(), 3);
+  EXPECT_EQ(doc.member(1).first, "b");
+  // Each open object dedupes only its own members: an inner key never
+  // matches an outer one, and the outer object survives its children.
+  const Json nested = Json::parse(R"({"k": 1, "o": {"k": 2, "k": 4}, "k": 5, "p": {"k": 6}})");
+  ASSERT_EQ(nested.size(), 3u);
+  EXPECT_EQ(nested.find("k")->as_int(), 5);
+  EXPECT_EQ(nested.member(1).second.size(), 1u);
+  EXPECT_EQ(nested.find("o")->find("k")->as_int(), 4);
+  EXPECT_EQ(nested.find("p")->find("k")->as_int(), 6);
+  EXPECT_EQ(nested.dump(), R"({"k":5,"o":{"k":4},"p":{"k":6}})");
+}
+
+TEST(JsonParse, Int64EdgesStayIntsAndOnePastFallsBackToDouble) {
+  const Json max = Json::parse("9223372036854775807");
+  const Json min = Json::parse("-9223372036854775808");
+  ASSERT_TRUE(max.is_int());
+  ASSERT_TRUE(min.is_int());
+  EXPECT_EQ(max.as_int(), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(min.as_int(), std::numeric_limits<std::int64_t>::min());
+  const Json over = Json::parse("9223372036854775808");
+  const Json under = Json::parse("-9223372036854775809");
+  ASSERT_TRUE(over.is_double());
+  ASSERT_TRUE(under.is_double());
+  EXPECT_DOUBLE_EQ(over.as_double(), 9223372036854775808.0);
+  EXPECT_DOUBLE_EQ(under.as_double(), -9223372036854775808.0);
+  EXPECT_EQ(Json::parse("[1, -2, 30]").dump(), "[1,-2,30]");
+}
+
+TEST(JsonParse, NegativeZeroParses) {
+  const Json zero = Json::parse("-0");
+  ASSERT_TRUE(zero.is_int());
+  EXPECT_EQ(zero.as_int(), 0);
+  EXPECT_EQ(zero.dump(), "0");
+  EXPECT_TRUE(Json::parse("-0.0").is_double());
+  EXPECT_THROW(Json::parse("-01"), JsonParseError);
+}
+
+TEST(JsonDump, OutputIsPinned) {
+  // Control characters: \n \t \r and the quote/backslash get short escapes,
+  // every other byte below 0x20 is \u00xx; high bytes pass through.
+  EXPECT_EQ(Json(std::string("a\x01\x1f\b\f\"\\\n\t\r\xC3\xA9z")).dump(),
+            "\"a\\u0001\\u001f\\u0008\\u000c\\\"\\\\\\n\\t\\r\xC3\xA9z\"");
+  // Doubles print as %.10g; non-finite ones as null.
+  EXPECT_EQ(Json(0.1).dump(), "0.1");
+  EXPECT_EQ(Json(-2.5).dump(), "-2.5");
+  EXPECT_EQ(Json(3.14159265358979).dump(), "3.141592654");
+  EXPECT_EQ(Json(1e20).dump(), "1e+20");
+  EXPECT_EQ(Json(1.0).dump(), "1");
+  EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).dump(), "null");
+  EXPECT_EQ(Json(std::numeric_limits<std::int64_t>::min()).dump(), "-9223372036854775808");
+  // Indent 2, with empty containers kept on one line.
+  const Json doc = Json::parse(R"({"a": [1, {"b": []}], "c": {}, "d": "x"})");
+  EXPECT_EQ(doc.dump(2),
+            "{\n"
+            "  \"a\": [\n"
+            "    1,\n"
+            "    {\n"
+            "      \"b\": []\n"
+            "    }\n"
+            "  ],\n"
+            "  \"c\": {},\n"
+            "  \"d\": \"x\"\n"
+            "}");
+  EXPECT_EQ(doc.dump(0), R"({"a":[1,{"b":[]}],"c":{},"d":"x"})");
+}
+
+TEST(JsonParse, DepthCapAndErrorMessagesAreUnchanged) {
+  // The child stacks changed how containers are built, not where parsing
+  // stops or what it reports.
+  std::string arrays(65, '[');
+  std::string objects;
+  for (int i = 0; i < 65; ++i) objects += "{\"a\":";
+  const std::pair<std::string, std::string> cases[] = {
+      {arrays, "JSON parse error at offset 64: nesting depth exceeds limit of 64"},
+      {objects, "JSON parse error at offset 320: nesting depth exceeds limit of 64"},
+      {"[1,]", "JSON parse error at offset 3: invalid value"},
+      {"{\"k\" 1}", "JSON parse error at offset 5: expected ':'"},
+      {"{\"a\":1,}", "JSON parse error at offset 7: expected object key string"},
+      {"[1 2]", "JSON parse error at offset 4: expected ',' or ']' in array"},
+      {"\"ab\x01\"", "JSON parse error at offset 4: raw control character in string"},
+      {"\"abc", "JSON parse error at offset 4: unterminated string"},
+      {"01", "JSON parse error at offset 1: leading zero in number"},
+      {"[1] tail", "JSON parse error at offset 4: trailing characters after JSON document"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      Json::parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const JsonParseError& e) {
+      EXPECT_EQ(std::string(e.what()), message) << "input: " << text;
+    }
+  }
+}
+
+TEST(JsonBuild, MovedChainKeepsTheBuiltValue) {
+  // A chain on a temporary moves the object from step to step; the result
+  // holds every member, and values passed in by copy stay intact.
+  const Json inner = Json::object().set("k", 1);
+  const Json built = Json::object(3)
+                         .set("a", inner)
+                         .set("b", Json::array(2).push(2).push(inner))
+                         .set("a", Json::array());  // upsert keeps position
+  EXPECT_EQ(built.dump(), R"({"a":[],"b":[2,{"k":1}]})");
+  EXPECT_EQ(inner.dump(), R"({"k":1})");
+
+  Json builder = Json::object();
+  builder.set("x", 1).set("y", 2);  // lvalue chain: returns the builder itself
+  const Json moved = std::move(builder).set("z", 3);
+  EXPECT_EQ(moved.dump(), R"({"x":1,"y":2,"z":3})");
+
+  // A capacity hint changes no output.
+  EXPECT_EQ(Json::object(8).dump(), Json::object().dump());
+  EXPECT_EQ(Json::array(8).push(1).dump(), "[1]");
 }
 
 }  // namespace

@@ -336,6 +336,24 @@ TEST_F(CertifyMutations, DedicatedCost) {
   });
 }
 
+TEST_F(CertifyMutations, ResourceOutsideTheCatalogIsAVerdict) {
+  // Any id in ResourceId's range parses; one the catalog lacks must still
+  // end in a report (it once escaped as std::logic_error and aborted
+  // rtlb_check).
+  const auto unknown = static_cast<ResourceId>(inst_.catalog->size() + 4);
+  expect_rejected("bound and cost term on an unknown resource", "E7.1.cost",
+                  [unknown](Certificate& c) {
+                    c.bounds[0].resource = unknown;
+                    c.shared_cost.terms[0].resource = unknown;
+                  });
+  expect_rejected("uncovered claim on an unknown resource", "E7.2.uncovered",
+                  [unknown](Certificate& c) {
+                    c.dedicated_cost->feasible = false;
+                    c.dedicated_cost->infeasible_reason = "uncovered-resource";
+                    c.dedicated_cost->detail_resource = unknown;
+                  });
+}
+
 // ---------------------------------------------------------------------------
 // Structural rejection happens at parse time (exit 2 territory for the CLI),
 // before the checker ever sees values.
