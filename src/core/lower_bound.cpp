@@ -50,20 +50,21 @@ void fold_unit(UnitResult& acc, const UnitResult& r) {
   }
 }
 
-/// One partition block prepared for scanning: its task set, the sorted
-/// unique candidate endpoints {E_i, L_i}, the block's total computation
-/// time (an upper bound on Theta over ANY interval), and -- when pruning is
-/// on -- the probe result that seeds every unit's prune floor.
+/// One block prepared for scanning: its index in the driver's block list,
+/// the sorted unique candidate endpoints {E_i, L_i}, the block's total
+/// computation time (an upper bound on Theta over ANY interval), and --
+/// when pruning is on -- the probe result that seeds every unit's prune
+/// floor. Only blocks that are actually scanned (cache misses) get one.
 struct BlockScan {
-  std::vector<TaskId> tasks;
+  std::size_t slot = 0;
   std::vector<Time> points;
   Time total_demand = 0;
   UnitResult probe;
   /// The scan loop's working set, flattened: Psi reads (comp, E, L,
   /// preemptive) per task and nothing else, so the scan walks four
   /// contiguous arrays instead of pointer-chasing Task structs and separate
-  /// window vectors. Original block.tasks order (the overflow path iterates
-  /// it to keep the historical first-overflow behaviour exactly).
+  /// window vectors. The block's given task order (the overflow path
+  /// iterates it to keep the historical first-overflow behaviour exactly).
   std::vector<Time> comp, est, lct;
   std::vector<char> preemptive;
   /// Whether rows may be swept as clipped ramps (see RowSweep): the total
@@ -73,9 +74,10 @@ struct BlockScan {
 };
 
 /// Theta over a block from its flat arrays; value-identical to
-/// demand(app, windows, block.tasks, ...) -- the same multiset of Psi terms
-/// in the same order, with the same overflow rejection (with C_i >= 0 the
-/// check is dead unless total_demand saturated, since every Psi_i <= C_i).
+/// demand(app, windows, tasks, ...) over the block's tasks -- the same
+/// multiset of Psi terms in the same order, with the same overflow rejection
+/// (with C_i >= 0 the check is dead unless total_demand saturated, since
+/// every Psi_i <= C_i).
 Time demand_flat(const BlockScan& block, Time t1, Time t2) {
   Time sum = 0;
   for (std::size_t i = 0; i < block.comp.size(); ++i) {
@@ -158,17 +160,12 @@ class RowSweep {
   std::size_t next_down_ = 0;
 };
 
-/// A chunk of consecutive left endpoints [l_begin, l_end) of one block.
+/// A chunk of consecutive left endpoints [l_begin, l_end) of one scanned
+/// block (an index into the driver's list of BlockScans).
 struct ScanUnit {
-  std::size_t block = 0;
+  std::size_t scan = 0;
   std::size_t l_begin = 0;
   std::size_t l_end = 0;
-};
-
-/// The full decomposition of one density maximization.
-struct ScanPlan {
-  std::vector<BlockScan> blocks;
-  std::vector<ScanUnit> units;
 };
 
 /// The pruning probe: evaluate each task's own [E_i, L_i] window (these are
@@ -177,12 +174,9 @@ struct ScanPlan {
 /// block's true peak that every unit can prune against from its first row --
 /// crucial because units scan with fresh incumbents. Runs once per block,
 /// deterministically, so results stay thread-count independent.
-UnitResult probe_block(const Application& app, const TaskWindows& windows,
-                       const BlockScan& block) {
-  (void)app;
-  (void)windows;
+UnitResult probe_block(const BlockScan& block) {
   UnitResult res;
-  for (std::size_t k = 0; k < block.tasks.size(); ++k) {
+  for (std::size_t k = 0; k < block.comp.size(); ++k) {
     const Time t1 = block.est[k];
     const Time t2 = block.lct[k];
     if (t1 >= t2) continue;
@@ -199,15 +193,13 @@ UnitResult probe_block(const Application& app, const TaskWindows& windows,
   return res;
 }
 
-/// Append one block (geometry only) to the plan. Scan units are built later
-/// by plan_block_units, AFTER the pruning probe has run, because pruned
-/// units are sized by how much work survives the probe floor. The probe is
-/// not run here either -- callers that scan the block run it themselves (the
-/// cached query path skips it entirely on a cache hit).
-void add_block(ScanPlan& plan, const Application& app, const TaskWindows& windows,
-               std::vector<TaskId> tasks) {
-  if (tasks.empty()) return;
+/// Flatten block `slot` (its tasks in the given order) for scanning. The
+/// probe and the scan units come later: pruned units are sized by how much
+/// work survives the probe floor.
+BlockScan make_block_scan(const Application& app, const TaskWindows& windows,
+                          std::span<const TaskId> tasks, std::size_t slot) {
   BlockScan block;
+  block.slot = slot;
   block.points.reserve(tasks.size() * 2);
   block.comp.reserve(tasks.size());
   block.est.reserve(tasks.size());
@@ -237,11 +229,10 @@ void add_block(ScanPlan& plan, const Application& app, const TaskWindows& window
   std::sort(block.points.begin(), block.points.end());
   block.points.erase(std::unique(block.points.begin(), block.points.end()),
                      block.points.end());
-  block.tasks = std::move(tasks);
-  plan.blocks.push_back(std::move(block));
+  return block;
 }
 
-/// Build the scan units of block `block_index` and append them to the plan.
+/// Append the scan units of `block` (the `scan`-th BlockScan) to `units`.
 ///
 /// Without pruning, rows are grouped by nominal pair count. With pruning the
 /// nominal count is the wrong currency: the floor check in scan_unit breaks
@@ -259,11 +250,9 @@ void add_block(ScanPlan& plan, const Application& app, const TaskWindows& window
 /// The grouping depends only on the block geometry and the (deterministic)
 /// probe, never on the thread count, so the unit list -- and therefore the
 /// reduced result -- is identical between serial and parallel execution.
-/// MUST run after the block's probe when pruning is on; with an empty probe
-/// (Ratio 0/1) every positive-demand pair "survives" and the grouping
-/// quietly degenerates to nominal.
-void plan_block_units(ScanPlan& plan, std::size_t block_index, bool pruning) {
-  const BlockScan& block = plan.blocks[block_index];
+/// MUST run after the block's probe when pruning is on.
+void plan_block_units(const BlockScan& block, std::size_t scan, bool pruning,
+                      std::vector<ScanUnit>& units) {
   const std::size_t n = block.points.size();
   const Ratio floor = block.probe.peak;
   const auto surviving_pairs = [&](std::size_t l) -> std::uint64_t {
@@ -294,49 +283,11 @@ void plan_block_units(ScanPlan& plan, std::size_t block_index, bool pruning) {
       pairs += surviving_pairs(l);
       ++l;
     }
-    plan.units.push_back({block_index, begin, l});
+    units.push_back({scan, begin, l});
   }
 }
 
-/// plan_block_units over every block, in block order (merge_blocks relies on
-/// units being grouped by block in block order).
-void plan_all_units(ScanPlan& plan, bool pruning) {
-  for (std::size_t b = 0; b < plan.blocks.size(); ++b) plan_block_units(plan, b, pruning);
-}
-
-/// Run the pruning probe of every block in `plan` (cold-path behaviour; the
-/// cached path probes only its cache misses).
-void probe_all_blocks(ScanPlan& plan, const Application& app, const TaskWindows& windows) {
-  for (BlockScan& block : plan.blocks) block.probe = probe_block(app, windows, block);
-}
-
-ScanPlan make_plan(const Application& app, const TaskWindows& windows, ResourceId r,
-                   const LowerBoundOptions& opts, bool run_probes) {
-  ScanPlan plan;
-  std::vector<TaskId> st = app.tasks_using(r);
-  if (st.empty()) return plan;
-  if (opts.use_partitioning) {
-    ResourcePartition partition = partition_tasks(app, windows, r);
-    for (PartitionBlock& block : partition.blocks) {
-      add_block(plan, app, windows, std::move(block.tasks));
-    }
-  } else {
-    add_block(plan, app, windows, std::move(st));
-  }
-  if (run_probes) {
-    if (opts.enable_pruning) probe_all_blocks(plan, app, windows);
-    plan_all_units(plan, opts.enable_pruning);
-  }
-  // run_probes=false (the cached query path): units are NOT built here --
-  // the caller builds them after it has resolved probes for its cache
-  // misses, so pruned unit sizing sees the same floors as the cold path.
-  return plan;
-}
-
-UnitResult scan_unit(const Application& app, const TaskWindows& windows,
-                     const BlockScan& block, const ScanUnit& unit, bool prune) {
-  (void)app;
-  (void)windows;
+UnitResult scan_unit(const BlockScan& block, const ScanUnit& unit, bool prune) {
   UnitResult res;
   RowSweep row(block.ramps ? block.comp.size() : 0);
   for (std::size_t l = unit.l_begin; l < unit.l_end; ++l) {
@@ -380,175 +331,26 @@ UnitResult scan_unit(const Application& app, const TaskWindows& windows,
   return res;
 }
 
-/// Execute every unit of `plan`, serially or across a pool. Each unit writes
-/// its own slot, so execution order is irrelevant to the merged result.
-std::vector<UnitResult> execute_plan(const Application& app, const TaskWindows& windows,
-                                     const ScanPlan& plan, const LowerBoundOptions& opts) {
-  std::vector<UnitResult> results(plan.units.size());
-  auto run_one = [&](std::size_t i) {
-    results[i] = scan_unit(app, windows, plan.blocks[plan.units[i].block], plan.units[i],
-                           opts.enable_pruning);
-  };
-  const unsigned workers =
-      opts.num_threads == 1 ? 1 : ThreadPool::resolve_threads(opts.num_threads);
-  if (workers <= 1 || plan.units.size() <= 1) {
-    for (std::size_t i = 0; i < plan.units.size(); ++i) run_one(i);
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for(plan.units.size(), run_one);
-  }
-  return results;
-}
-
-/// Reduce results in a fixed deterministic order -- block probes first (in
-/// block order), then unit results (in unit order): peak = max, witness =
-/// the first result that attains the peak, work = sum. A tie across units
-/// therefore keeps a witness whose density EQUALS the reported peak -- never
-/// a stale witness from a lower-density block. With pruning off every probe
-/// is empty, so the reduction degenerates to the plain unit-order merge.
-ResourceBound merge_units(const Application& app, const TaskWindows& windows,
-                          const ScanPlan& plan, const std::vector<UnitResult>& results) {
-  ResourceBound out;
-  const BlockScan* winner_block = nullptr;
-  auto absorb = [&](const UnitResult& r, const BlockScan& block) {
-    out.intervals_evaluated += r.evaluated;
-    if (r.has_witness && r.peak > out.peak_density) {
-      out.peak_density = r.peak;
-      out.witness_t1 = r.witness_t1;
-      out.witness_t2 = r.witness_t2;
-      out.witness_demand = r.witness_demand;
-      winner_block = &block;
-    }
-  };
-  for (const BlockScan& block : plan.blocks) absorb(block.probe, block);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    absorb(results[i], plan.blocks[plan.units[i].block]);
-  }
-  out.bound = out.peak_density.ceil();
-#ifndef NDEBUG
-  if (winner_block != nullptr) {
-    const Time check =
-        demand(app, windows, winner_block->tasks, out.witness_t1, out.witness_t2);
-    RTLB_CHECK(check == out.witness_demand, "witness demand inconsistent with its interval");
-    RTLB_CHECK((Ratio{check, out.witness_t2 - out.witness_t1} == out.peak_density),
-               "witness density disagrees with peak_density");
-  }
-#else
-  (void)winner_block;
-  (void)app;
-  (void)windows;
-  (void)plan;
-#endif
-  return out;
-}
-
-}  // namespace
-
-ResourceBound resource_lower_bound(const Application& app, const TaskWindows& windows,
-                                   ResourceId r, const LowerBoundOptions& opts) {
-  const ScanPlan plan = make_plan(app, windows, r, opts, /*run_probes=*/true);
-  ResourceBound out = merge_units(app, windows, plan, execute_plan(app, windows, plan, opts));
-  out.resource = r;
-  return out;
-}
-
-ResourceBound density_bound_over(const Application& app, const TaskWindows& windows,
-                                 std::vector<TaskId> tasks, const LowerBoundOptions& opts) {
-  ScanPlan plan;
-  if (tasks.empty()) return ResourceBound{};
-  // Figure-4 blocks over the given set (same rule as partition_tasks, which
-  // is tied to a ResourceId and so not reusable directly).
-  std::sort(tasks.begin(), tasks.end(), [&](TaskId a, TaskId b) {
-    if (windows.est[a] != windows.est[b]) return windows.est[a] < windows.est[b];
-    return a < b;
-  });
-  std::vector<TaskId> block;
-  Time block_finish = kTimeMin;
-  for (TaskId i : tasks) {
-    if (!block.empty() && windows.est[i] >= block_finish) {
-      add_block(plan, app, windows, std::move(block));
-      block.clear();
-    }
-    block.push_back(i);
-    block_finish = std::max(block_finish, windows.lct[i]);
-  }
-  add_block(plan, app, windows, std::move(block));
-  if (opts.enable_pruning) probe_all_blocks(plan, app, windows);
-  plan_all_units(plan, opts.enable_pruning);
-  return merge_units(app, windows, plan, execute_plan(app, windows, plan, opts));
-}
-
-std::vector<ResourceBound> all_resource_bounds(const Application& app,
-                                               const TaskWindows& windows,
-                                               const LowerBoundOptions& opts) {
-  const std::vector<ResourceId> resources = app.resource_set();
-  std::vector<ScanPlan> plans;
-  plans.reserve(resources.size());
-  for (ResourceId r : resources) {
-    plans.push_back(make_plan(app, windows, r, opts, /*run_probes=*/true));
-  }
-
-  // Pool the scan units of every resource into one flat work list so a
-  // resource with one big block does not serialize the whole sweep.
-  struct GlobalUnit {
-    std::size_t plan;
-    std::size_t unit;
-  };
-  std::vector<GlobalUnit> work;
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    for (std::size_t u = 0; u < plans[p].units.size(); ++u) work.push_back({p, u});
-  }
-
-  std::vector<UnitResult> results(work.size());
-  auto run_one = [&](std::size_t i) {
-    const ScanPlan& plan = plans[work[i].plan];
-    const ScanUnit& unit = plan.units[work[i].unit];
-    results[i] = scan_unit(app, windows, plan.blocks[unit.block], unit, opts.enable_pruning);
-  };
-  const unsigned workers =
-      opts.num_threads == 1 ? 1 : ThreadPool::resolve_threads(opts.num_threads);
-  if (workers <= 1 || work.size() <= 1) {
-    for (std::size_t i = 0; i < work.size(); ++i) run_one(i);
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for(work.size(), run_one);
-  }
-
-  // Re-slice the flat result list back into per-resource runs (work is
-  // ordered by plan, then unit) and reduce each run in unit order.
-  std::vector<ResourceBound> out;
-  out.reserve(resources.size());
-  std::size_t cursor = 0;
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    std::vector<UnitResult> slice(results.begin() + static_cast<std::ptrdiff_t>(cursor),
-                                  results.begin() + static_cast<std::ptrdiff_t>(
-                                                        cursor + plans[p].units.size()));
-    cursor += plans[p].units.size();
-    ResourceBound b = merge_units(app, windows, plans[p], slice);
-    b.resource = resources[p];
-    out.push_back(b);
-  }
-  return out;
-}
-
-namespace {
-
-/// Reduce one resource from per-block folded results, replicating
-/// merge_units' canonical order exactly: every block's probe first (in block
-/// order), then every block's folded units (units are created grouped by
-/// block in block order, and fold_unit preserves first-attainment, so this
-/// equals the flat unit-order merge of the uncached path bit for bit).
+/// Reduce blocks [begin, end) in the one canonical order -- every block's
+/// probe first (in block order), then every block's folded units. Units are
+/// planned grouped by block in block order and fold_unit keeps the first
+/// attainment, so this equals folding every unit result in unit order: peak
+/// = max, witness = the first result that attains the peak, work = sum. A
+/// tie across units therefore keeps a witness whose density EQUALS the
+/// reported peak -- never a stale witness from a lower-density block. With
+/// pruning off every probe is empty.
 ResourceBound merge_blocks(const Application& app, const TaskWindows& windows,
-                           const ScanPlan& plan, const std::vector<UnitResult>& probes,
-                           const std::vector<UnitResult>& scans) {
+                           std::span<const std::span<const TaskId>> blocks,
+                           std::span<const UnitResult> probes,
+                           std::span<const UnitResult> scans) {
   UnitResult acc;
-  const BlockScan* winner_block = nullptr;
-  auto absorb = [&](const UnitResult& r, const BlockScan& block) {
-    if (r.has_witness && r.peak > acc.peak) winner_block = &block;
+  std::size_t winner = blocks.size();
+  const auto absorb = [&](const UnitResult& r, std::size_t b) {
+    if (r.has_witness && r.peak > acc.peak) winner = b;
     fold_unit(acc, r);
   };
-  for (std::size_t b = 0; b < plan.blocks.size(); ++b) absorb(probes[b], plan.blocks[b]);
-  for (std::size_t b = 0; b < plan.blocks.size(); ++b) absorb(scans[b], plan.blocks[b]);
+  for (std::size_t b = 0; b < blocks.size(); ++b) absorb(probes[b], b);
+  for (std::size_t b = 0; b < blocks.size(); ++b) absorb(scans[b], b);
 
   ResourceBound out;
   out.peak_density = acc.peak;
@@ -558,15 +360,14 @@ ResourceBound merge_blocks(const Application& app, const TaskWindows& windows,
   out.intervals_evaluated = acc.evaluated;
   out.bound = acc.peak.ceil();
 #ifndef NDEBUG
-  if (winner_block != nullptr) {
-    const Time check =
-        demand(app, windows, winner_block->tasks, out.witness_t1, out.witness_t2);
+  if (winner < blocks.size()) {
+    const Time check = demand(app, windows, blocks[winner], out.witness_t1, out.witness_t2);
     RTLB_CHECK(check == out.witness_demand, "witness demand inconsistent with its interval");
     RTLB_CHECK((Ratio{check, out.witness_t2 - out.witness_t1} == out.peak_density),
                "witness density disagrees with peak_density");
   }
 #else
-  (void)winner_block;
+  (void)winner;
   (void)app;
   (void)windows;
 #endif
@@ -575,116 +376,155 @@ ResourceBound merge_blocks(const Application& app, const TaskWindows& windows,
 
 }  // namespace
 
+std::vector<ResourceBound> partition_bounds(const Application& app, const TaskWindows& windows,
+                                            std::span<const ResourcePartition> partitions,
+                                            const LowerBoundOptions& opts,
+                                            BlockScanCache* cache) {
+  // Plan, part 1: the blocks of every entry, flattened in entry order.
+  // Without partitioning an entry is ST_r as one block, in tasks_using
+  // order; `whole` owns those lists.
+  std::vector<std::vector<TaskId>> whole;
+  std::vector<std::span<const TaskId>> blocks;
+  std::vector<std::size_t> first;
+  first.reserve(partitions.size() + 1);
+  if (!opts.use_partitioning) whole.reserve(partitions.size());
+  for (const ResourcePartition& partition : partitions) {
+    first.push_back(blocks.size());
+    if (opts.use_partitioning) {
+      for (const PartitionBlock& block : partition.blocks) {
+        if (!block.tasks.empty()) blocks.emplace_back(block.tasks);
+      }
+    } else {
+      whole.push_back(app.tasks_using(partition.resource));
+      if (!whole.back().empty()) blocks.emplace_back(whole.back());
+    }
+  }
+  first.push_back(blocks.size());
+
+  // Plan, part 2: resolve each block. A cache hit builds its exact key and
+  // replays the stored probe and folded scan -- nothing else. A miss (every
+  // block when there is no cache) is flattened, probed, and split into
+  // scan units; its key is kept for the insert after the scan. All lookups
+  // precede all inserts, so a block repeated within one call misses twice.
+  std::vector<UnitResult> probes(blocks.size());
+  std::vector<UnitResult> scans(blocks.size());
+  std::vector<BlockScan> missed;
+  std::vector<BlockScanCache::Key> miss_keys;
+  std::vector<ScanUnit> units;
+  BlockScanCache::Key key;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    if (cache != nullptr) {
+      key.clear();
+      key.reserve(2 + 4 * blocks[b].size());
+      key.push_back(opts.enable_pruning ? 1 : 0);
+      key.push_back(static_cast<std::int64_t>(blocks[b].size()));
+      for (TaskId t : blocks[b]) {
+        const Task& task = app.task(t);
+        key.insert(key.end(), {windows.est[t], windows.lct[t], task.comp, task.preemptive ? 1 : 0});
+      }
+      const auto it = cache->map_.find(key);
+      if (it != cache->map_.end()) {
+        ++cache->hits_;
+        probes[b] = it->second.probe;
+        scans[b] = it->second.scan;
+        continue;
+      }
+      ++cache->misses_;
+      miss_keys.push_back(std::exchange(key, {}));
+    }
+    BlockScan& scan = missed.emplace_back(make_block_scan(app, windows, blocks[b], b));
+    if (opts.enable_pruning) scan.probe = probe_block(scan);
+    probes[b] = scan.probe;
+    plan_block_units(scan, missed.size() - 1, opts.enable_pruning, units);
+  }
+
+  // Execute: the units of every missed block of every entry form one flat
+  // work list over one pool, so an entry with one big block does not
+  // serialize the rest. Each unit writes its own slot, so execution order
+  // is irrelevant to the merged result.
+  std::vector<UnitResult> results(units.size());
+  const auto run_one = [&](std::size_t i) {
+    results[i] = scan_unit(missed[units[i].scan], units[i], opts.enable_pruning);
+  };
+  const unsigned workers =
+      opts.num_threads == 1 ? 1 : ThreadPool::resolve_threads(opts.num_threads);
+  if (workers <= 1 || units.size() <= 1) {
+    for (std::size_t i = 0; i < units.size(); ++i) run_one(i);
+  } else {
+    ThreadPool pool(workers);
+    pool.parallel_for(units.size(), run_one);
+  }
+  // Units are in (block, unit) order, so this folds each block's units in
+  // unit order.
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    fold_unit(scans[missed[units[i].scan].slot], results[i]);
+  }
+
+  // Record the misses. The occasional wholesale clear (safety valve against
+  // unbounded growth) only costs future hits.
+  if (cache != nullptr) {
+    for (std::size_t m = 0; m < missed.size(); ++m) {
+      if (cache->map_.size() >= BlockScanCache::kMaxEntries) cache->map_.clear();
+      const std::size_t b = missed[m].slot;
+      cache->map_.emplace(std::move(miss_keys[m]), BlockScanCache::Entry{probes[b], scans[b]});
+    }
+  }
+
+  // Merge each entry over its own run of blocks.
+  std::vector<ResourceBound> out;
+  out.reserve(partitions.size());
+  for (std::size_t p = 0; p < partitions.size(); ++p) {
+    const std::size_t begin = first[p];
+    const std::size_t count = first[p + 1] - begin;
+    out.push_back(merge_blocks(app, windows, std::span(blocks).subspan(begin, count),
+                               std::span(probes).subspan(begin, count),
+                               std::span(scans).subspan(begin, count)));
+    out.back().resource = partitions[p].resource;
+  }
+  return out;
+}
+
+ResourceBound resource_lower_bound(const Application& app, const TaskWindows& windows,
+                                   ResourceId r, const LowerBoundOptions& opts) {
+  const ResourcePartition partition = opts.use_partitioning
+                                          ? partition_tasks(app, windows, r)
+                                          : ResourcePartition{r, {}};
+  return partition_bounds(app, windows, std::span(&partition, 1), opts).front();
+}
+
+std::vector<ResourceBound> all_resource_bounds(const Application& app,
+                                               const TaskWindows& windows,
+                                               const LowerBoundOptions& opts) {
+  return partition_bounds(app, windows, partition_all(app, windows), opts);
+}
+
 std::vector<ResourceBound> all_resource_bounds_cached(const Application& app,
                                                       const TaskWindows& windows,
                                                       const LowerBoundOptions& opts,
                                                       BlockScanCache& cache) {
-  const std::vector<ResourceId> resources = app.resource_set();
-  std::vector<ScanPlan> plans;
-  plans.reserve(resources.size());
-  for (ResourceId r : resources) {
-    plans.push_back(make_plan(app, windows, r, opts, /*run_probes=*/false));
-  }
+  return partition_bounds(app, windows, partition_all(app, windows), opts, &cache);
+}
 
-  // Resolve every block against the cache. Misses get their pruning probe
-  // computed here (the cold path runs it inside make_plan) and their scan
-  // units queued; hits are materialized as values so later cache maintenance
-  // can never invalidate them.
-  struct GlobalUnit {
-    std::size_t plan;
-    std::size_t unit;
-  };
-  struct BlockRef {
-    std::size_t plan;
-    std::size_t block;
-  };
-  std::vector<std::vector<BlockScanCache::Key>> keys(plans.size());
-  std::vector<std::vector<UnitResult>> probes(plans.size());
-  std::vector<std::vector<UnitResult>> scans(plans.size());
-  std::vector<std::vector<char>> missed(plans.size());
-  std::vector<BlockRef> miss_list;
-  std::vector<GlobalUnit> work;
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    const std::size_t num_blocks = plans[p].blocks.size();
-    keys[p].resize(num_blocks);
-    probes[p].resize(num_blocks);
-    scans[p].resize(num_blocks);
-    missed[p].assign(num_blocks, 0);
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      BlockScan& block = plans[p].blocks[b];
-      BlockScanCache::Key& key = keys[p][b];
-      key.reserve(2 + 4 * block.tasks.size());
-      key.push_back(opts.enable_pruning ? 1 : 0);
-      key.push_back(static_cast<std::int64_t>(block.tasks.size()));
-      for (TaskId t : block.tasks) {
-        key.push_back(windows.est[t]);
-        key.push_back(windows.lct[t]);
-        key.push_back(app.task(t).comp);
-        key.push_back(app.task(t).preemptive ? 1 : 0);
-      }
-      const auto it = cache.map_.find(key);
-      if (it != cache.map_.end()) {
-        ++cache.hits_;
-        probes[p][b] = it->second.probe;
-        scans[p][b] = it->second.scan;
-      } else {
-        ++cache.misses_;
-        missed[p][b] = 1;
-        miss_list.push_back({p, b});
-        if (opts.enable_pruning) block.probe = probe_block(app, windows, block);
-        probes[p][b] = block.probe;
-      }
+ResourceBound density_bound_over(const Application& app, const TaskWindows& windows,
+                                 std::vector<TaskId> tasks, const LowerBoundOptions& opts) {
+  // Figure-4 blocks over the given set (same rule as partition_tasks, which
+  // is tied to a ResourceId and so not reusable directly).
+  std::sort(tasks.begin(), tasks.end(), [&](TaskId a, TaskId b) {
+    if (windows.est[a] != windows.est[b]) return windows.est[a] < windows.est[b];
+    return a < b;
+  });
+  ResourcePartition partition;
+  Time block_finish = kTimeMin;
+  for (TaskId i : tasks) {
+    if (partition.blocks.empty() || windows.est[i] >= block_finish) {
+      partition.blocks.emplace_back();
     }
-    // Units are built only now, so the missed blocks' pruned unit sizing
-    // sees the probes resolved above -- identical floors, therefore
-    // identical unit boundaries, to the cold path. Hit blocks get nominal
-    // units (their probe slot is empty) but those are filtered out below
-    // and merge_blocks never reads them.
-    plan_all_units(plans[p], opts.enable_pruning);
-    for (std::size_t u = 0; u < plans[p].units.size(); ++u) {
-      if (missed[p][plans[p].units[u].block]) work.push_back({p, u});
-    }
+    partition.blocks.back().tasks.push_back(i);
+    block_finish = std::max(block_finish, windows.lct[i]);
   }
-
-  // Execute the missed units exactly like the uncached path (flat list over
-  // one pool, own slot per unit, deterministic fold afterwards).
-  std::vector<UnitResult> results(work.size());
-  auto run_one = [&](std::size_t i) {
-    const ScanPlan& plan = plans[work[i].plan];
-    const ScanUnit& unit = plan.units[work[i].unit];
-    results[i] = scan_unit(app, windows, plan.blocks[unit.block], unit, opts.enable_pruning);
-  };
-  const unsigned workers =
-      opts.num_threads == 1 ? 1 : ThreadPool::resolve_threads(opts.num_threads);
-  if (workers <= 1 || work.size() <= 1) {
-    for (std::size_t i = 0; i < work.size(); ++i) run_one(i);
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for(work.size(), run_one);
-  }
-  // `work` is ordered (plan, unit) ascending, so this folds each missed
-  // block's units in unit order.
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    fold_unit(scans[work[i].plan][plans[work[i].plan].units[work[i].unit].block], results[i]);
-  }
-
-  // Record the misses. The occasional wholesale clear (safety valve against
-  // unbounded growth) only costs future hits; the values merged below were
-  // copied out already.
-  for (const BlockRef& m : miss_list) {
-    if (cache.map_.size() >= BlockScanCache::kMaxEntries) cache.map_.clear();
-    cache.map_.emplace(std::move(keys[m.plan][m.block]),
-                       BlockScanCache::Entry{probes[m.plan][m.block], scans[m.plan][m.block]});
-  }
-
-  std::vector<ResourceBound> out;
-  out.reserve(resources.size());
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    ResourceBound b = merge_blocks(app, windows, plans[p], probes[p], scans[p]);
-    b.resource = resources[p];
-    out.push_back(b);
-  }
-  return out;
+  LowerBoundOptions partitioned = opts;
+  partitioned.use_partitioning = true;
+  return partition_bounds(app, windows, std::span(&partition, 1), partitioned).front();
 }
 
 }  // namespace rtlb

@@ -7,13 +7,20 @@
 // Section 8 uses the same candidate points). Densities are compared with
 // exact rational arithmetic -- no floating point.
 //
-// ENGINE. The maximization is decomposed into deterministic scan units --
-// one unit per (partition block, chunk of candidate left endpoints) -- that
-// are independent of each other: every unit scans with a fresh incumbent and
-// accumulates its own peak/witness/work counters. Units are then reduced in
-// unit order, so the result (bound, peak density, witness interval, and
+// ENGINE. One driver, partition_bounds(), runs every bound: plan -> execute
+// -> merge over the blocks it is GIVEN (the pipeline hands it the
+// kPartitions artifact; the wrappers below compute partitions themselves).
+// Plan: each block is either a cache hit -- its exact key built and looked
+// up once, nothing else -- or flattened, probed (when pruning) and cut into
+// deterministic scan units, one per chunk of candidate left endpoints.
+// Execute: the units of every missed block go over one pool as one flat
+// list; units are independent of each other: every unit scans with a fresh
+// incumbent and accumulates its own peak/witness/work counters. Merge: each
+// entry reduces its blocks' probes, then their folded units, in block
+// order, so the result (bound, peak density, witness interval, and
 // intervals_evaluated) is bit-identical no matter how many threads executed
-// the units. num_threads therefore changes wall-clock only, never output.
+// the units or which blocks came from the cache. num_threads therefore
+// changes wall-clock only, never output.
 //
 // A unit walks its rows (one left endpoint t1 each) as a sweep: every
 // Psi_i(t1, .) is a clipped ramp in t2, so one sort of the row's 2n slope
@@ -40,6 +47,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "src/common/ratio.hpp"
@@ -91,28 +99,28 @@ struct ResourceBound {
   std::uint64_t intervals_evaluated = 0;
 };
 
-/// LB_r for one resource.
+/// LB_r for one resource (partitions ST_r itself).
 ResourceBound resource_lower_bound(const Application& app, const TaskWindows& windows,
                                    ResourceId r, const LowerBoundOptions& opts = {});
 
-/// LB_r for every r in RES, in resource_set() order. With opts.num_threads
-/// != 1 the (resource, block, chunk) scan units of ALL resources are fanned
-/// out over one pool, so small resources do not serialize behind large ones.
+/// LB_r for every r in RES, in resource_set() order (partition_all, then
+/// partition_bounds).
 std::vector<ResourceBound> all_resource_bounds(const Application& app,
                                                const TaskWindows& windows,
                                                const LowerBoundOptions& opts = {});
 
 /// The same density maximization over an ARBITRARY task set (used by the
-/// conjunctive joint bounds): partitions `tasks` into window-disjoint blocks
-/// internally and returns a ResourceBound with `resource` left invalid.
+/// conjunctive joint bounds): splits `tasks` into Figure-4 window-disjoint
+/// blocks, always (opts.use_partitioning is ignored), and returns a
+/// ResourceBound with `resource` left invalid.
 ResourceBound density_bound_over(const Application& app, const TaskWindows& windows,
                                  std::vector<TaskId> tasks,
                                  const LowerBoundOptions& opts = {});
 
 /// What one partition block contributes to a resource's bound: its peak
 /// density with witness, and the number of candidate pairs evaluated. This
-/// is the unit the engine reduces internally; it is exposed so the
-/// memoized query path (AnalysisSession) can cache it per block.
+/// is the unit the engine reduces internally; it is exposed so
+/// BlockScanCache can store it per block.
 struct BlockScanResult {
   Ratio peak{0, 1};
   Time witness_t1 = 0;
@@ -128,7 +136,8 @@ struct BlockScanResult {
 /// geometry -- task identity is deliberately NOT part of it, so identical
 /// blocks are shared across resources (e.g. a {P1}+{r1} task pair produces
 /// the same block under both resources) and even across re-generated
-/// applications. A lookup costs O(block size); a scan costs
+/// applications. A hit costs building the O(block size) key and one map
+/// lookup -- no flattening, no point sort, no unit planning; a scan costs
 /// O(points * block size * log(block size)) with the row sweep, or
 /// O(points^2 * block size) for a block that keeps the direct sum; every
 /// hit therefore skips the dominant cost of the query.
@@ -140,10 +149,9 @@ class BlockScanCache {
   void clear() { map_.clear(); }
 
  private:
-  friend std::vector<ResourceBound> all_resource_bounds_cached(const Application&,
-                                                               const TaskWindows&,
-                                                               const LowerBoundOptions&,
-                                                               BlockScanCache&);
+  friend std::vector<ResourceBound> partition_bounds(const Application&, const TaskWindows&,
+                                                     std::span<const ResourcePartition>,
+                                                     const LowerBoundOptions&, BlockScanCache*);
   /// Flattened exact geometry: [pruning, n, then per task est, lct, comp,
   /// preemptive]. Exact-value keys (not hashes) -- a hit is a PROOF of
   /// equality, so cached results are bit-identical by construction.
@@ -161,12 +169,23 @@ class BlockScanCache {
   std::uint64_t misses_ = 0;
 };
 
+/// The bound engine (see the note above): one ResourceBound per entry of
+/// `partitions`, in order, each the reduction of the entry's blocks -- or,
+/// with opts.use_partitioning off, of ST_r of its resource as one block.
+/// The blocks must be a Figure-4 partition of the entry's task set over
+/// `windows` (partition_all's output, or the kPartitions artifact).
+///
+/// `cache` (nullable) memoizes per-block results. Bit-identical with and
+/// without it for every input (the cache only ever replays a scan whose
+/// inputs were value-equal); it must always be fed the same `opts`
+/// (enable_pruning is part of the key, so mixing is safe but wastes
+/// entries). Misses are scanned exactly as without a cache.
+std::vector<ResourceBound> partition_bounds(const Application& app, const TaskWindows& windows,
+                                            std::span<const ResourcePartition> partitions,
+                                            const LowerBoundOptions& opts,
+                                            BlockScanCache* cache = nullptr);
+
 /// all_resource_bounds with per-block memoization through `cache`.
-/// Bit-identical to the uncached function for every input (the cache only
-/// ever replays a scan whose inputs were value-equal); `cache` must always
-/// be fed the same `opts` (enable_pruning is part of the key, so mixing is
-/// safe but wastes entries). Cache misses are fanned out over the thread
-/// pool exactly like the uncached path.
 std::vector<ResourceBound> all_resource_bounds_cached(const Application& app,
                                                       const TaskWindows& windows,
                                                       const LowerBoundOptions& opts,

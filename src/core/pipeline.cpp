@@ -180,10 +180,11 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
   result.partitions = std::move(partitions.partitions);
 
   // Stage kBounds: LB_r for every r in RES (+ the conjunctive extension
-  // rows). Stage-level reuse replays the whole vector; otherwise a
-  // block-level cache (when the StageCache carries one) reuses every
-  // partition block the delta left value-unchanged (Theorem 5
-  // independence), and only missed blocks are scanned.
+  // rows). Stage-level reuse replays the whole vector; otherwise the bound
+  // engine scans the kPartitions blocks, and a block-level cache (when the
+  // StageCache carries one) replays every block the delta left
+  // value-unchanged (Theorem 5 independence) -- a hit costs one key lookup
+  // -- so only missed blocks are scanned.
   BoundsArtifact bounds;
   {
     ScopedSpan span(trace, stage_name(Stage::kBounds));
@@ -192,19 +193,19 @@ AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& optio
       bounds.bounds = *cached;
       cache.record(Stage::kBounds, true);
       span.count("reused", 1);
-    } else if (BlockScanCache* block_cache = cache.block_cache()) {
-      const std::uint64_t hits = block_cache->hits();
-      const std::uint64_t misses = block_cache->misses();
-      bounds.bounds =
-          all_resource_bounds_cached(app, result.windows, options.lower_bound, *block_cache);
-      cache.record(Stage::kBounds, false);
-      span.count("block_cache_hits",
-                 static_cast<std::int64_t>(block_cache->hits() - hits));
-      span.count("block_cache_misses",
-                 static_cast<std::int64_t>(block_cache->misses() - misses));
     } else {
-      bounds.bounds = all_resource_bounds(app, result.windows, options.lower_bound);
+      BlockScanCache* block_cache = cache.block_cache();
+      const std::uint64_t hits = block_cache != nullptr ? block_cache->hits() : 0;
+      const std::uint64_t misses = block_cache != nullptr ? block_cache->misses() : 0;
+      bounds.bounds = partition_bounds(app, result.windows, result.partitions,
+                                       options.lower_bound, block_cache);
       cache.record(Stage::kBounds, false);
+      if (block_cache != nullptr) {
+        span.count("block_cache_hits",
+                   static_cast<std::int64_t>(block_cache->hits() - hits));
+        span.count("block_cache_misses",
+                   static_cast<std::int64_t>(block_cache->misses() - misses));
+      }
     }
     if (options.joint_bounds) {
       if (const auto* cached = cache.cached_joint(windows.unchanged)) {

@@ -197,7 +197,7 @@ LintGateArtifact run_lint_gate(const Application& app, const DedicatedPlatform* 
 /// Run all stages (plus the certificate post-stage) through `cache`,
 /// tracing into options.trace when set. This is the only function in the
 /// library that sequences compute_windows / partition_all /
-/// all_resource_bounds* / *cost_bound* / joint_lower_bounds.
+/// partition_bounds / *cost_bound* / joint_lower_bounds.
 AnalysisResult run_pipeline(const Application& app, const AnalysisOptions& options,
                             const DedicatedPlatform* platform, StageCache& cache);
 

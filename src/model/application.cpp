@@ -72,17 +72,27 @@ AdjacentMessages adjacent_messages(const Application& app) {
   }
   m.succ_msg.resize(m.succ_off[n]);
   m.pred_msg.resize(m.pred_off[n]);
-  // One ordered pass over the store; the adjacency lists are short, so
-  // locating each edge's slot by linear scan is a handful of contiguous int
-  // compares.
-  for (const auto& [key, msg] : app.messages()) {
-    const auto [from, to] = key;
-    const auto& succ = app.successors(from);
-    const auto& pred = app.predecessors(to);
-    const auto si = std::find(succ.begin(), succ.end(), to) - succ.begin();
-    const auto pi = std::find(pred.begin(), pred.end(), from) - pred.begin();
-    m.succ_msg[m.succ_off[from] + static_cast<std::size_t>(si)] = msg;
-    m.pred_msg[m.pred_off[to] + static_cast<std::size_t>(pi)] = msg;
+  // O(n + E) with one scratch index. The store is sorted by (from, to), so
+  // task p's outgoing messages are the run msgs[succ_off[p], succ_off[p+1])
+  // in ascending `to`. In-rows: walking the targets in ascending order, the
+  // message of each edge (p, i) is the next unread one of p's run. Out-rows:
+  // a position index (pos[v] = v's slot in the successor list) scatters
+  // each run into adjacency order.
+  const std::vector<Application::EdgeMessage>& msgs = app.messages();
+  std::vector<std::size_t> scratch(m.succ_off.begin(), m.succ_off.end() - 1);
+  for (TaskId i = 0; i < n; ++i) {
+    const auto& pred = app.predecessors(i);
+    for (std::size_t k = 0; k < pred.size(); ++k) {
+      m.pred_msg[m.pred_off[i] + k] = msgs[scratch[pred[k]]++].second;
+    }
+  }
+  std::vector<std::size_t>& pos = scratch;
+  for (TaskId i = 0; i < n; ++i) {
+    const auto& succ = app.successors(i);
+    for (std::size_t k = 0; k < succ.size(); ++k) pos[succ[k]] = k;
+    for (std::size_t e = m.succ_off[i]; e < m.succ_off[i + 1]; ++e) {
+      m.succ_msg[m.succ_off[i] + pos[msgs[e].first.second]] = msgs[e].second;
+    }
   }
   return m;
 }

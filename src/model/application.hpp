@@ -97,8 +97,8 @@ class Application {
 /// Edge messages laid out alongside the DAG adjacency lists:
 /// out(i)[k] is m_{i, successors(i)[k]} and in(i)[k] is
 /// m_{predecessors(i)[k], i}. A read-only snapshot for per-edge loops (the
-/// windows engine, the lint passes), built in one pass over messages(); it
-/// goes stale when a message changes.
+/// windows engine, the lint passes, the checker), built from messages() in
+/// O(n + E); it goes stale when a message changes.
 struct AdjacentMessages {
   std::vector<std::size_t> succ_off, pred_off;  ///< n+1 CSR offsets
   std::vector<Time> succ_msg, pred_msg;         ///< aligned with adjacency order

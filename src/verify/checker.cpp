@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <optional>
 #include <span>
@@ -88,13 +89,41 @@ class Checker {
   /// RES and ST_r, built once per run: res_ is RES ascending and st_[k] is
   /// ST_{res_[k]} (ascending task ids). adj_ holds the edge messages
   /// aligned with the adjacency lists, so emr/lms read m_{ji} without a
-  /// lookup.
+  /// lookup. When a dedicated judgement needs the platform, hosts_ holds
+  /// each task's host set eta_i as a bitset over the node types (row i is
+  /// words [i * host_words_, (i + 1) * host_words_)).
   void build_indexes() {
     res_ = app_.resource_set();
     st_.clear();
     st_.reserve(res_.size());
     for (ResourceId r : res_) st_.push_back(app_.tasks_using(r));
     adj_ = adjacent_messages(app_);
+    if (platform_ != nullptr && (cert_.dedicated || cert_.dedicated_cost)) {
+      const std::size_t num_types = platform_->num_node_types();
+      host_words_ = (num_types + 63) / 64;
+      hosts_.assign(app_.num_tasks() * host_words_, 0);
+      for (TaskId i = 0; i < app_.num_tasks(); ++i) {
+        const Task& t = app_.task(i);
+        for (std::size_t n = 0; n < num_types; ++n) {
+          if (platform_->node_type(n).can_host(t.proc, t.resources)) {
+            hosts_[i * host_words_ + n / 64] |= std::uint64_t{1} << (n % 64);
+          }
+        }
+      }
+    }
+  }
+
+  /// eta_i as host_words_ bitset words.
+  std::span<const std::uint64_t> hosts(TaskId i) const {
+    return {hosts_.data() + i * host_words_, host_words_};
+  }
+
+  /// acc &= eta_i; true while some node type is left in acc.
+  bool and_hosts(std::vector<std::uint64_t>& acc, TaskId i) const {
+    const std::span<const std::uint64_t> row = hosts(i);
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < host_words_; ++w) any |= (acc[w] &= row[w]);
+    return any != 0;
   }
 
   /// ST_r for r in RES; empty for any other id (no task uses it).
@@ -106,6 +135,10 @@ class Checker {
 
   // ---- Definitions 1/2, re-derived from the model ------------------------
 
+  /// Under the dedicated model a set of same-processor tasks is mergeable
+  /// iff some node type hosts the union of their resources; since
+  /// can_host(p, A u B) = can_host(p, A) && can_host(p, B), that is a
+  /// non-empty intersection of their eta bitsets.
   bool merge_ok(std::span<const TaskId> tasks) {
     if (tasks.size() <= 1 && !cert_.dedicated) return true;
     if (tasks.empty()) return true;
@@ -114,31 +147,25 @@ class Checker {
       if (app_.task(t).proc != proc) return false;
     }
     if (!cert_.dedicated) return true;
-    required_.clear();
-    for (TaskId t : tasks) {
-      const auto& res = app_.task(t).resources;
-      required_.insert(required_.end(), res.begin(), res.end());
-    }
-    std::sort(required_.begin(), required_.end());
-    required_.erase(std::unique(required_.begin(), required_.end()), required_.end());
-    return platform_->some_node_hosts(proc, required_);
+    const std::span<const std::uint64_t> first = hosts(tasks[0]);
+    merge_hosts_.assign(first.begin(), first.end());
+    bool any = std::any_of(first.begin(), first.end(), [](std::uint64_t w) { return w != 0; });
+    for (std::size_t k = 1; k < tasks.size() && any; ++k) any = and_hosts(merge_hosts_, tasks[k]);
+    return any;
   }
 
   /// The mergeable-prefix oracle of one window check. Every candidate was
   /// found individually mergeable with i, so it shares i's processor type,
   /// and under the shared model a prefix is always mergeable. Under the
-  /// dedicated model the prefix's resource union grows by one task per
-  /// step and is judged with one some_node_hosts() call.
+  /// dedicated model the prefix's host set shrinks by one AND per step.
   void prefix_reset(TaskId i) {
-    prefix_required_ = app_.task(i).resources;  // sorted, unique
+    if (!cert_.dedicated) return;
+    const std::span<const std::uint64_t> row = hosts(i);
+    prefix_hosts_.assign(row.begin(), row.end());
   }
-  bool prefix_add(TaskId i, TaskId j) {
+  bool prefix_add(TaskId j) {
     if (!cert_.dedicated) return true;
-    for (ResourceId r : app_.task(j).resources) {
-      const auto it = std::lower_bound(prefix_required_.begin(), prefix_required_.end(), r);
-      if (it == prefix_required_.end() || *it != r) prefix_required_.insert(it, r);
-    }
-    return platform_->some_node_hosts(app_.task(i).proc, prefix_required_);
+    return and_hosts(prefix_hosts_, j);
   }
 
   // ---- Section 4 folds over the CERTIFICATE windows ----------------------
@@ -306,7 +333,7 @@ class Checker {
     prefix_order_.clear();
     for (std::size_t k = 1; k <= cand_.size(); ++k) {
       const TaskId j = cand_[k - 1].task;
-      if (!prefix_add(i, j)) break;
+      if (!prefix_add(j)) break;
       insert_sorted(j, [&](TaskId a, TaskId b) { return est_before(a, b); });
       I128 value = std::max(e0, ect_sorted(prefix_order_));
       if (k < cand_.size()) value = std::max(value, cand_[k].value);
@@ -387,7 +414,7 @@ class Checker {
     prefix_order_.clear();
     for (std::size_t k = 1; k <= cand_.size(); ++k) {
       const TaskId j = cand_[k - 1].task;
-      if (!prefix_add(i, j)) break;
+      if (!prefix_add(j)) break;
       insert_sorted(j, [&](TaskId a, TaskId b) { return lct_before(a, b); });
       I128 value = std::min(l0, lst_sorted(prefix_order_));
       if (k < cand_.size()) value = std::min(value, cand_[k].value);
@@ -764,19 +791,27 @@ class Checker {
         rows.push_back(std::move(row));
       }
     }
-    std::vector<std::vector<std::size_t>> seen;
+    std::vector<TaskId> seen;  // the first task of each distinct eta set
     for (TaskId i = 0; i < app_.num_tasks(); ++i) {
-      std::vector<std::size_t> eta = platform_->hosts_for(app_.task(i));
-      if (eta.empty()) return std::nullopt;
-      if (std::find(seen.begin(), seen.end(), eta) != seen.end()) continue;
+      const std::span<const std::uint64_t> eta = hosts(i);
+      if (std::all_of(eta.begin(), eta.end(), [](std::uint64_t w) { return w == 0; })) {
+        return std::nullopt;
+      }
+      if (std::any_of(seen.begin(), seen.end(), [&](TaskId k) {
+            return std::equal(eta.begin(), eta.end(), hosts(k).begin());
+          })) {
+        continue;
+      }
       Row row;
       row.coeffs.assign(num_types, 0);
-      for (std::size_t n : eta) row.coeffs[n] = 1;
+      for (std::size_t n = 0; n < num_types; ++n) {
+        if ((eta[n / 64] >> (n % 64)) & 1) row.coeffs[n] = 1;
+      }
       row.rhs = 1;
       row.kind = Row::Kind::kHosting;
       row.id = i;
       rows.push_back(std::move(row));
-      seen.push_back(std::move(eta));
+      seen.push_back(i);
     }
     return rows;
   }
@@ -963,15 +998,17 @@ class Checker {
   std::vector<ResourceId> res_;
   std::vector<std::vector<TaskId>> st_;
   AdjacentMessages adj_;
+  std::size_t host_words_ = 0;
+  std::vector<std::uint64_t> hosts_;
 
   // Scratch reused across facts, so the checks allocate only while these
   // grow to their high-water marks. The prefix loops of check_est/check_lct
-  // keep their state in prefix_order_ and prefix_required_, apart from the
-  // order_ and required_ that every ect/lst/merge_ok call overwrites.
+  // keep their state in prefix_order_ and prefix_hosts_, apart from the
+  // order_ and merge_hosts_ that every ect/lst/merge_ok call overwrites.
   std::vector<Candidate> cand_;
   std::vector<TaskId> order_, prefix_order_, with_i_, sorted_adj_, sorted_merged_, listed_,
       universe_, seen_;
-  std::vector<ResourceId> required_, prefix_required_;
+  std::vector<std::uint64_t> merge_hosts_, prefix_hosts_;
 };
 
 }  // namespace

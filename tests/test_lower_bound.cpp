@@ -289,34 +289,51 @@ void expect_same_scan(const ResourceBound& got, const ResourceBound& want,
 }
 
 /// Every engine entry point against reference_scan, pruning off and on, at
-/// 1 and 4 threads. `exact_pruned` is false when some block is too wide for
-/// the reference's one-unit replay of pruning; pruned results then only
-/// have to match the bound and peak density and carry a valid witness.
+/// 1 and 4 threads: the wrappers, and partition_bounds itself fed
+/// partition_all's blocks with no cache, a cold cache and a warm one, and
+/// with partitioning off. `exact_pruned` is false when some block is too
+/// wide for the reference's one-unit replay of pruning; pruned results then
+/// only have to match the bound and peak density and carry a valid witness.
 void expect_engine_matches_reference(const Application& app, const TaskWindows& w,
                                      bool exact_pruned, const std::string& context) {
+  const std::vector<ResourcePartition> partitions = partition_all(app, w);
   for (bool prune : {false, true}) {
     for (int threads : {1, 4}) {
       LowerBoundOptions opts;
       opts.enable_pruning = prune;
       opts.num_threads = threads;
+      LowerBoundOptions whole = opts;
+      whole.use_partitioning = false;
       const std::string ctx = context + " prune=" + std::to_string(prune) +
                               " threads=" + std::to_string(threads);
       const std::vector<ResourceId> resources = app.resource_set();
-      const std::vector<ResourceBound> all = all_resource_bounds(app, w, opts);
       BlockScanCache cache;
-      const std::vector<ResourceBound> cold = all_resource_bounds_cached(app, w, opts, cache);
-      const std::vector<ResourceBound> warm = all_resource_bounds_cached(app, w, opts, cache);
-      ASSERT_EQ(all.size(), resources.size()) << ctx;
-      ASSERT_EQ(cold.size(), resources.size()) << ctx;
-      ASSERT_EQ(warm.size(), resources.size()) << ctx;
+      const std::vector<ResourceBound> runs[] = {
+          all_resource_bounds(app, w, opts),
+          partition_bounds(app, w, partitions, opts),
+          partition_bounds(app, w, partitions, opts, &cache),
+          partition_bounds(app, w, partitions, opts, &cache),
+          all_resource_bounds_cached(app, w, opts, cache),
+      };
+      // The second and third cached calls are all hits.
+      EXPECT_EQ(cache.misses() * 3, cache.hits() + cache.misses()) << ctx;
+      const std::vector<ResourceBound> unpartitioned = partition_bounds(app, w, partitions, whole);
+      ASSERT_EQ(unpartitioned.size(), resources.size()) << ctx;
+      for (const std::vector<ResourceBound>& run : runs) {
+        ASSERT_EQ(run.size(), resources.size()) << ctx;
+      }
       for (std::size_t k = 0; k < resources.size(); ++k) {
         const ResourceId r = resources[k];
         const std::string rctx = ctx + " r=" + std::to_string(r);
         const ResourceBound want =
             reference_scan(app, w, partition_tasks(app, w, r).blocks, prune);
-        const ResourceBound engine[] = {resource_lower_bound(app, w, r, opts), all[k], cold[k],
-                                        warm[k],
-                                        density_bound_over(app, w, app.tasks_using(r), opts)};
+        std::vector<ResourceBound> engine = {
+            resource_lower_bound(app, w, r, opts),
+            density_bound_over(app, w, app.tasks_using(r), opts)};
+        for (const std::vector<ResourceBound>& run : runs) {
+          EXPECT_EQ(run[k].resource, r) << rctx;
+          engine.push_back(run[k]);
+        }
         for (const ResourceBound& got : engine) {
           if (!prune || exact_pruned) {
             expect_same_scan(got, want, rctx);
@@ -330,6 +347,20 @@ void expect_engine_matches_reference(const Application& app, const TaskWindows& 
           EXPECT_TRUE((Ratio{got.witness_demand, got.witness_t2 - got.witness_t1}) ==
                       got.peak_density)
               << rctx;
+        }
+
+        // Partitioning off scans ST_r as one block: the same bound and
+        // peak (Theorem 5), exactly the one-block reference, and the same
+        // answer as the single-resource wrapper.
+        const ResourceBound& one = unpartitioned[k];
+        EXPECT_EQ(one.resource, r) << rctx;
+        EXPECT_EQ(one.bound, want.bound) << rctx;
+        EXPECT_TRUE(one.peak_density == want.peak_density) << rctx;
+        expect_same_scan(one, resource_lower_bound(app, w, r, whole), rctx + " unpartitioned");
+        if (!prune || exact_pruned) {
+          PartitionBlock all;
+          all.tasks = app.tasks_using(r);
+          expect_same_scan(one, reference_scan(app, w, {all}, prune), rctx + " unpartitioned");
         }
       }
     }

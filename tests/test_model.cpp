@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/model/application.hpp"
 #include "src/model/platform.hpp"
 
@@ -173,6 +176,36 @@ TEST_F(ApplicationTest, MessagesStaySortedAfterOutOfOrderEdges) {
   EXPECT_THROW(app_.set_message(a, b, -1), ModelError);
 
   // The adjacency-aligned view follows successors()/predecessors() order.
+  const AdjacentMessages view = adjacent_messages(app_);
+  for (TaskId i = 0; i < app_.num_tasks(); ++i) {
+    ASSERT_EQ(view.out(i).size(), app_.successors(i).size());
+    for (std::size_t k = 0; k < app_.successors(i).size(); ++k) {
+      EXPECT_EQ(view.out(i)[k], app_.message(i, app_.successors(i)[k]));
+    }
+    ASSERT_EQ(view.in(i).size(), app_.predecessors(i).size());
+    for (std::size_t k = 0; k < app_.predecessors(i).size(); ++k) {
+      EXPECT_EQ(view.in(i)[k], app_.message(app_.predecessors(i)[k], i));
+    }
+  }
+}
+
+TEST_F(ApplicationTest, AdjacentMessagesFollowAdjacencyOrderOnDenseDags) {
+  // Edges added in scrambled order, so neither adjacency list is sorted and
+  // every message differs: each slot must hold its own edge's message.
+  constexpr TaskId kTasks = 40;
+  for (TaskId i = 0; i < kTasks; ++i) add("t" + std::to_string(i), p1_);
+  std::uint64_t state = 12345;
+  Time next_msg = 0;
+  for (int k = 0; k < 400; ++k) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const TaskId a = static_cast<TaskId>((state >> 33) % kTasks);
+    const TaskId b = static_cast<TaskId>((state >> 13) % kTasks);
+    if (a == b) continue;
+    const TaskId from = std::min(a, b);
+    const TaskId to = std::max(a, b);
+    if (app_.dag().has_edge(from, to)) continue;
+    app_.add_edge(from, to, ++next_msg);
+  }
   const AdjacentMessages view = adjacent_messages(app_);
   for (TaskId i = 0; i < app_.num_tasks(); ++i) {
     ASSERT_EQ(view.out(i).size(), app_.successors(i).size());

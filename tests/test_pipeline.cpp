@@ -211,6 +211,62 @@ TEST(LintHandover, HandedOverWindowsEqualAFreshComputation) {
   }
 }
 
+// A query after a delta that leaves every partition block value-equal -- a
+// sink's deadline moved and then reverted -- rescans nothing: the bound
+// engine replays every block from the session's cache, and every
+// ResourceBound field equals a cold analyze() of the same instance.
+TEST(BoundsStage, RevertedDeltaReplaysEveryBlockFromTheCache) {
+  for (const Config& cfg : kConfigs) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      ProblemInstance inst = corpus_instance(seed);
+      const Application& app = *inst.app;
+      const DedicatedPlatform* platform = cfg.platform ? &inst.platform : nullptr;
+      const std::string context = "model " + std::to_string(static_cast<int>(cfg.model)) +
+                                  " platform " + std::to_string(cfg.platform) + " seed " +
+                                  std::to_string(seed);
+      AnalysisOptions options;
+      options.model = cfg.model;
+      options.joint_bounds = cfg.joint;
+      options.lower_bound.enable_pruning = cfg.pruning;
+      Trace trace;
+      options.trace = &trace;
+      AnalysisSession session(app, options, platform);
+      session.analyze();
+
+      // A sink's LCT is its deadline, so the move changes the windows and
+      // the reverted query cannot be served by stage-level reuse.
+      TaskId sink = 0;
+      while (!app.successors(sink).empty()) ++sink;
+      const Time deadline = app.task(sink).deadline;
+      session.set_deadline(sink, deadline + 3);
+      session.analyze();
+      session.set_deadline(sink, deadline);
+      trace.clear();
+      const AnalysisResult& warm = session.analyze();
+      EXPECT_EQ(span_counter(trace, "bounds", "reused"), 0) << context;
+      EXPECT_EQ(span_counter(trace, "bounds", "block_cache_misses"), 0) << context;
+      EXPECT_EQ(span_counter(trace, "bounds", "block_cache_hits"),
+                span_counter(trace, "partitions", "blocks"))
+          << context;
+
+      options.trace = nullptr;
+      const AnalysisResult cold = analyze(app, options, platform);
+      ASSERT_EQ(warm.bounds.size(), cold.bounds.size()) << context;
+      for (std::size_t k = 0; k < cold.bounds.size(); ++k) {
+        const ResourceBound& got = warm.bounds[k];
+        const ResourceBound& want = cold.bounds[k];
+        EXPECT_EQ(got.resource, want.resource) << context;
+        EXPECT_EQ(got.bound, want.bound) << context;
+        EXPECT_TRUE(got.peak_density == want.peak_density) << context;
+        EXPECT_EQ(got.witness_t1, want.witness_t1) << context;
+        EXPECT_EQ(got.witness_t2, want.witness_t2) << context;
+        EXPECT_EQ(got.witness_demand, want.witness_demand) << context;
+        EXPECT_EQ(got.intervals_evaluated, want.intervals_evaluated) << context;
+      }
+    }
+  }
+}
+
 // The mismatch leg with teeth: a and b share a processor type (mergeable
 // under the shared model) but no node hosts both resources, so the
 // dedicated oracle pays the message and the two oracles' windows differ.

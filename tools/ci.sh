@@ -194,6 +194,13 @@ else
   echo "ci.sh: jq not on PATH; skipping the workload bench schema check" >&2
 fi
 
+# Repo benchmark self-test: the rtlbench harness must still build against
+# the library as it stands, run every workload small (untraced and traced)
+# with the metric names and units BENCHMARK.json declares, and fail the run
+# on each planted fault (a wrong digest, a corrupt certificate, a stale
+# session answer).
+python3 rtlbench/selftest.py
+
 # Committed golden certificate stays in sync with the checker.
 "$BUILD_DIR/tools/rtlb_check" examples/instances/paper.rtlb \
   examples/certificates/paper_dedicated.cert.json
